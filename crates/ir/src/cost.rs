@@ -87,6 +87,25 @@ pub trait ExecSink {
     fn native_exit(&mut self) {}
 }
 
+/// A borrowed sink is a sink: lets code generic over `S: ExecSink` hand its
+/// sink on as `&mut dyn ExecSink` (native helpers take one).
+impl<S: ExecSink + ?Sized> ExecSink for &mut S {
+    #[inline]
+    fn retire(&mut self, class: CostClass) {
+        (**self).retire(class)
+    }
+    #[inline]
+    fn mem_access(&mut self, addr: u64, width: u64, is_write: bool) {
+        (**self).mem_access(addr, width, is_write)
+    }
+    fn native_enter(&mut self) {
+        (**self).native_enter()
+    }
+    fn native_exit(&mut self) {
+        (**self).native_exit()
+    }
+}
+
 /// A sink that ignores everything (pure functional execution).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NullSink;

@@ -77,6 +77,9 @@ pub struct Interpreter<'a> {
     program: &'a Program,
     natives: &'a NativeRegistry,
     limits: RunLimits,
+    /// Registers of every function together: what the register stack of a
+    /// run without recursion can hold at most, so it is allocated once.
+    stack_words: usize,
 }
 
 impl<'a> Interpreter<'a> {
@@ -86,6 +89,7 @@ impl<'a> Interpreter<'a> {
             program,
             natives,
             limits: RunLimits::default(),
+            stack_words: program.functions.iter().map(|f| f.num_regs as usize).sum(),
         }
     }
 
@@ -96,66 +100,74 @@ impl<'a> Interpreter<'a> {
     }
 
     /// Executes the program's entry function for one packet.
-    pub fn run_packet(
+    ///
+    /// Generic over the sink, so a concrete sink's `retire` and
+    /// `mem_access` inline into the dispatch loop; `&mut dyn ExecSink`
+    /// works as before.
+    pub fn run_packet<S: ExecSink + ?Sized>(
         &self,
         mem: &mut DataMemory,
         packet: &Packet,
-        sink: &mut dyn ExecSink,
+        sink: &mut S,
+    ) -> Result<ExecResult, ExecError> {
+        self.run(mem, packet, sink, None)
+    }
+
+    /// Like [`run_packet`](Interpreter::run_packet), but additionally
+    /// records the visited-block trace.
+    pub fn run_packet_traced<S: ExecSink + ?Sized>(
+        &self,
+        mem: &mut DataMemory,
+        packet: &Packet,
+        sink: &mut S,
+    ) -> Result<(ExecResult, BlockTrace), ExecError> {
+        let mut trace = BlockTrace::new();
+        let res = self.run(mem, packet, sink, Some(&mut trace))?;
+        Ok((res, trace))
+    }
+
+    fn run<S: ExecSink + ?Sized>(
+        &self,
+        mem: &mut DataMemory,
+        packet: &Packet,
+        sink: &mut S,
+        trace: Option<&mut BlockTrace>,
     ) -> Result<ExecResult, ExecError> {
         let mut env = ExecEnv {
             mem,
             packet,
             sink,
             steps: 0,
-            trace: None,
+            trace,
+            stack: Vec::with_capacity(self.stack_words),
         };
-        let ret = self.exec_function(self.program.entry, &[], &mut env, 0)?;
+        let ret = self.exec_function(self.program.entry, &[], 0, &mut env, 0)?;
         Ok(ExecResult {
             return_value: ret,
             steps: env.steps,
         })
     }
 
-    /// Like [`run_packet`](Interpreter::run_packet), but additionally
-    /// records the visited-block trace.
-    pub fn run_packet_traced(
-        &self,
-        mem: &mut DataMemory,
-        packet: &Packet,
-        sink: &mut dyn ExecSink,
-    ) -> Result<(ExecResult, BlockTrace), ExecError> {
-        let mut trace = BlockTrace::new();
-        let mut env = ExecEnv {
-            mem,
-            packet,
-            sink,
-            steps: 0,
-            trace: Some(&mut trace),
-        };
-        let ret = self.exec_function(self.program.entry, &[], &mut env, 0)?;
-        let steps = env.steps;
-        Ok((
-            ExecResult {
-                return_value: ret,
-                steps,
-            },
-            trace,
-        ))
-    }
-
-    fn exec_function(
+    /// Runs `func_id` in a new frame on top of the register stack, its
+    /// leading registers set to `args` evaluated in the caller's frame (the
+    /// one at `caller_base`).
+    fn exec_function<S: ExecSink + ?Sized>(
         &self,
         func_id: FuncId,
-        args: &[u64],
-        env: &mut ExecEnv<'_>,
+        args: &[Operand],
+        caller_base: usize,
+        env: &mut ExecEnv<'_, S>,
         depth: u32,
     ) -> Result<Option<u64>, ExecError> {
         if depth >= self.limits.max_call_depth {
             return Err(ExecError::CallDepth);
         }
         let func = &self.program.functions[func_id as usize];
-        let mut regs = vec![0u64; func.num_regs as usize];
-        regs[..args.len()].copy_from_slice(args);
+        let base = env.stack.len();
+        env.stack.resize(base + func.num_regs as usize, 0);
+        for (i, arg) in args.iter().enumerate() {
+            env.stack[base + i] = eval(arg, &env.stack[caller_base..]);
+        }
 
         let mut block = func.entry;
         loop {
@@ -165,10 +177,11 @@ impl<'a> Interpreter<'a> {
             let blk = &func.blocks[block as usize];
             for inst in &blk.insts {
                 env.step(self.limits.max_steps)?;
-                self.exec_inst(inst, &mut regs, env, depth)?;
+                self.exec_inst(inst, base, env, depth)?;
             }
             // Terminator.
             env.step(self.limits.max_steps)?;
+            let regs = &env.stack[base..];
             match &blk.term {
                 Terminator::Jump(target) => {
                     env.sink.retire(CostClass::Jump);
@@ -180,7 +193,7 @@ impl<'a> Interpreter<'a> {
                     else_bb,
                 } => {
                     env.sink.retire(CostClass::Branch);
-                    block = if eval(cond, &regs) != 0 {
+                    block = if eval(cond, regs) != 0 {
                         *then_bb
                     } else {
                         *else_bb
@@ -188,19 +201,24 @@ impl<'a> Interpreter<'a> {
                 }
                 Terminator::Return(v) => {
                     env.sink.retire(CostClass::Return);
-                    return Ok(v.as_ref().map(|op| eval(op, &regs)));
+                    let ret = v.as_ref().map(|op| eval(op, regs));
+                    env.stack.truncate(base);
+                    return Ok(ret);
                 }
             }
         }
     }
 
-    fn exec_inst(
+    /// Executes one instruction of the frame at `base`.
+    #[inline]
+    fn exec_inst<S: ExecSink + ?Sized>(
         &self,
         inst: &Inst,
-        regs: &mut [u64],
-        env: &mut ExecEnv<'_>,
+        base: usize,
+        env: &mut ExecEnv<'_, S>,
         depth: u32,
     ) -> Result<(), ExecError> {
+        let regs = &mut env.stack[base..];
         match inst {
             Inst::Mov { dst, src } => {
                 env.sink.retire(CostClass::Mov);
@@ -245,29 +263,31 @@ impl<'a> Interpreter<'a> {
             }
             Inst::Hash { dst, func, args } => {
                 env.sink.retire(CostClass::Hash);
-                let vals: Vec<u64> = args.iter().map(|a| eval(a, regs)).collect();
-                regs[*dst as usize] = func.apply(&vals);
+                let top = env.push_args(args, base);
+                let hash = func.apply(&env.stack[top..]);
+                env.stack.truncate(top);
+                env.stack[base + *dst as usize] = hash;
             }
             Inst::Call { dst, func, args } => {
                 env.sink.retire(CostClass::Call);
-                let vals: Vec<u64> = args.iter().map(|a| eval(a, regs)).collect();
-                let ret = self.exec_function(*func, &vals, env, depth + 1)?;
+                let ret = self.exec_function(*func, args, base, env, depth + 1)?;
                 if let (Some(d), Some(v)) = (dst, ret) {
-                    regs[*d as usize] = v;
+                    env.stack[base + *d as usize] = v;
                 }
             }
             Inst::Native { dst, func, args } => {
                 env.sink.retire(CostClass::Native);
-                let vals: Vec<u64> = args.iter().map(|a| eval(a, regs)).collect();
+                let top = env.push_args(args, base);
                 let helper = self
                     .natives
                     .get(*func)
                     .ok_or(ExecError::UnknownNative(func.0))?;
                 env.sink.native_enter();
-                let ret = helper.call(env.mem, &vals, env.sink);
+                let ret = helper.call(env.mem, &env.stack[top..], &mut env.sink);
                 env.sink.native_exit();
+                env.stack.truncate(top);
                 if let Some(d) = dst {
-                    regs[*d as usize] = ret;
+                    env.stack[base + *d as usize] = ret;
                 }
             }
         }
@@ -276,18 +296,22 @@ impl<'a> Interpreter<'a> {
 }
 
 /// The mutable state one packet's execution threads through every frame:
-/// the NF's data memory, the packet being parsed, the cost sink, and the
-/// global step counter.
-struct ExecEnv<'e> {
+/// the NF's data memory, the packet being parsed, the cost sink, the global
+/// step counter, and the register stack.
+struct ExecEnv<'e, S: ExecSink + ?Sized> {
     mem: &'e mut DataMemory,
     packet: &'e Packet,
-    sink: &'e mut dyn ExecSink,
+    sink: &'e mut S,
     steps: u64,
     trace: Option<&'e mut BlockTrace>,
+    /// Register files of the live frames, innermost last; the running frame
+    /// also parks the argument values of a `Hash` or `Native` on top.
+    stack: Vec<u64>,
 }
 
-impl ExecEnv<'_> {
+impl<S: ExecSink + ?Sized> ExecEnv<'_, S> {
     /// Counts one executed instruction against the step limit.
+    #[inline]
     fn step(&mut self, max_steps: u64) -> Result<(), ExecError> {
         self.steps += 1;
         if self.steps > max_steps {
@@ -295,8 +319,20 @@ impl ExecEnv<'_> {
         }
         Ok(())
     }
+
+    /// Evaluates `args` in the frame at `base` and pushes the values on the
+    /// stack; returns where they start. The caller truncates back to it.
+    fn push_args(&mut self, args: &[Operand], base: usize) -> usize {
+        let top = self.stack.len();
+        for arg in args {
+            let v = eval(arg, &self.stack[base..]);
+            self.stack.push(v);
+        }
+        top
+    }
 }
 
+#[inline]
 fn eval(op: &Operand, regs: &[u64]) -> u64 {
     match op {
         Operand::Reg(r) => regs[*r as usize],

@@ -8,16 +8,66 @@
 //!
 //! Addresses are plain `u64` virtual addresses; timing is *not* modelled
 //! here (that is `castan-mem`'s job) — this is purely functional state.
+//!
+//! # Page directory
+//!
+//! Every load and store of every replayed packet lands here, so finding a
+//! page must not cost a hash. Pages are 4 KiB and allocated on first write.
+//! The directory over the page number `addr >> 12` is a two-level radix:
+//! a root `Vec`, grown to the highest 2 MiB region touched so far, of
+//! lazily allocated 512-slot leaves, each slot an owned page or `None`.
+//! A lookup is two indexed loads and no hashing; a leaf costs 4 KiB per
+//! 2 MiB of address space that holds at least one page — for the dense
+//! tables NFs keep, 8 bytes a page, less than a hash-map slot. The radix
+//! reaches the first 64 GiB of the address space, which covers every NF
+//! layout (`castan_nf::layout` stays below 2 GiB). Pages beyond it — only a
+//! stray pointer gets there — live in an ordered map, so the whole `u64`
+//! space stays addressable and the root never grows past 256 KiB.
+//!
+//! An access that fits in one page (all aligned ones do) resolves the page
+//! once and moves its bytes with one slice copy. An access that straddles a
+//! page boundary is split into in-page spans. Addresses wrap at the top of
+//! the address space: the byte after `u64::MAX` is byte 0.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
+use std::ops::Range;
 
 const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
+/// Pages per radix leaf (2 MiB of address space).
+const LEAF_SHIFT: u32 = 9;
+const LEAF_PAGES: usize = 1 << LEAF_SHIFT;
+/// Page numbers below this are held by the radix (64 GiB of address space).
+const RADIX_PAGES: u64 = 1 << 24;
+
+type Page = [u8; PAGE_SIZE];
+type Leaf = [Option<Box<Page>>; LEAF_PAGES];
 
 /// Sparse byte-addressable memory.
 #[derive(Clone, Debug, Default)]
 pub struct DataMemory {
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>>,
+    /// Radix root, indexed by `page >> LEAF_SHIFT`.
+    root: Vec<Option<Box<Leaf>>>,
+    /// Pages at or beyond `RADIX_PAGES`.
+    far: BTreeMap<u64, Box<Page>>,
+}
+
+/// Splits the `len` bytes at `addr` (wrapping at the top of the address
+/// space) into in-page spans: the page number, the offset in that page, and
+/// which of the `len` bytes the span holds.
+fn spans(addr: u64, len: usize) -> impl Iterator<Item = (u64, usize, Range<usize>)> {
+    let mut done = 0;
+    std::iter::from_fn(move || {
+        if done == len {
+            return None;
+        }
+        let a = addr.wrapping_add(done as u64);
+        let off = (a as usize) & (PAGE_SIZE - 1);
+        let n = (PAGE_SIZE - off).min(len - done);
+        let span = (a >> PAGE_SHIFT, off, done..done + n);
+        done += n;
+        Some(span)
+    })
 }
 
 impl DataMemory {
@@ -28,43 +78,75 @@ impl DataMemory {
 
     /// Number of 4 KiB pages materialised so far.
     pub fn resident_pages(&self) -> usize {
-        self.pages.len()
+        let leaves = self.root.iter().flatten();
+        leaves.map(|l| l.iter().flatten().count()).sum::<usize>() + self.far.len()
+    }
+
+    /// The page numbered `page`, if it was ever written.
+    #[inline]
+    fn page(&self, page: u64) -> Option<&Page> {
+        if page < RADIX_PAGES {
+            let leaf = self.root.get((page >> LEAF_SHIFT) as usize)?.as_deref()?;
+            leaf[(page as usize) & (LEAF_PAGES - 1)].as_deref()
+        } else {
+            self.far.get(&page).map(|p| &**p)
+        }
+    }
+
+    /// The page numbered `page`, materialised (zeroed) on first use.
+    #[inline]
+    fn page_mut(&mut self, page: u64) -> &mut Page {
+        let zeroed = || Box::new([0u8; PAGE_SIZE]);
+        if page >= RADIX_PAGES {
+            return self.far.entry(page).or_insert_with(zeroed);
+        }
+        let top = (page >> LEAF_SHIFT) as usize;
+        if top >= self.root.len() {
+            self.root.resize_with(top + 1, || None);
+        }
+        let leaf = self.root[top].get_or_insert_with(|| Box::new([const { None }; LEAF_PAGES]));
+        leaf[(page as usize) & (LEAF_PAGES - 1)].get_or_insert_with(zeroed)
     }
 
     /// Reads `len ≤ 8` bytes at `addr` as a little-endian integer.
+    #[inline]
     pub fn read(&self, addr: u64, len: u64) -> u64 {
         debug_assert!((1..=8).contains(&len));
-        let mut out = 0u64;
-        for i in 0..len {
-            out |= u64::from(self.read_byte(addr + i)) << (8 * i);
+        let len = len as usize;
+        let off = (addr as usize) & (PAGE_SIZE - 1);
+        let mut buf = [0u8; 8];
+        if off + len > PAGE_SIZE {
+            self.read_into(addr, &mut buf[..len]);
+        } else if let Some(page) = self.page(addr >> PAGE_SHIFT) {
+            buf[..len].copy_from_slice(&page[off..off + len]);
         }
-        out
+        u64::from_le_bytes(buf)
     }
 
     /// Writes the low `len ≤ 8` bytes of `value` at `addr`, little-endian.
+    #[inline]
     pub fn write(&mut self, addr: u64, value: u64, len: u64) {
         debug_assert!((1..=8).contains(&len));
-        for i in 0..len {
-            self.write_byte(addr + i, (value >> (8 * i)) as u8);
+        let len = len as usize;
+        let off = (addr as usize) & (PAGE_SIZE - 1);
+        let bytes = value.to_le_bytes();
+        if off + len <= PAGE_SIZE {
+            self.page_mut(addr >> PAGE_SHIFT)[off..off + len].copy_from_slice(&bytes[..len]);
+        } else {
+            self.write_bytes(addr, &bytes[..len]);
         }
     }
 
     /// Reads one byte (zero if never written).
     pub fn read_byte(&self, addr: u64) -> u8 {
-        let page = addr >> PAGE_SHIFT;
         let off = (addr as usize) & (PAGE_SIZE - 1);
-        self.pages.get(&page).map_or(0, |p| p[off])
+        self.page(addr >> PAGE_SHIFT).map_or(0, |p| p[off])
     }
 
     /// Writes one byte.
     pub fn write_byte(&mut self, addr: u64, value: u8) {
-        let page = addr >> PAGE_SHIFT;
         let off = (addr as usize) & (PAGE_SIZE - 1);
-        let page = self
-            .pages
-            .entry(page)
-            .or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
-        page[off] = value;
+        self.page_mut(addr >> PAGE_SHIFT)[off] = value;
     }
 
     /// Writes `count` consecutive values of `width` bytes starting at
@@ -73,38 +155,44 @@ impl DataMemory {
     /// Used by NF initialisation to populate large lookup arrays (e.g. the
     /// direct-lookup LPM covers a /8 route with 2^19 identical entries);
     /// writing page-by-page keeps initialisation linear in the touched
-    /// bytes rather than in hash-map probes.
+    /// bytes rather than in directory lookups.
     pub fn fill(&mut self, addr: u64, value: u64, width: u64, count: u64) {
         debug_assert!((1..=8).contains(&width));
-        let bytes: Vec<u8> = (0..width).map(|i| (value >> (8 * i)) as u8).collect();
-        let total = width * count;
-        let mut off = 0u64;
-        while off < total {
-            let a = addr + off;
-            let page = a >> PAGE_SHIFT;
-            let page_off = (a as usize) & (PAGE_SIZE - 1);
-            let page_buf = self
-                .pages
-                .entry(page)
-                .or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
-            let in_page = (PAGE_SIZE - page_off).min((total - off) as usize);
-            for i in 0..in_page {
-                page_buf[page_off + i] = bytes[(off as usize + i) % width as usize];
+        let width = width as usize;
+        let bytes = value.to_le_bytes();
+        for (page, off, span) in spans(addr, width * count as usize) {
+            // The value as it repeats from this span's first byte on.
+            let mut pattern = [0u8; 8];
+            for (i, b) in pattern[..width].iter_mut().enumerate() {
+                *b = bytes[(span.start + i) % width];
             }
-            off += in_page as u64;
+            for chunk in self.page_mut(page)[off..off + span.len()].chunks_mut(width) {
+                chunk.copy_from_slice(&pattern[..chunk.len()]);
+            }
         }
     }
 
     /// Copies a byte slice into memory starting at `addr`.
     pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
-        for (i, &b) in bytes.iter().enumerate() {
-            self.write_byte(addr + i as u64, b);
+        for (page, off, span) in spans(addr, bytes.len()) {
+            self.page_mut(page)[off..off + span.len()].copy_from_slice(&bytes[span]);
         }
     }
 
     /// Reads `len` bytes starting at `addr`.
     pub fn read_bytes(&self, addr: u64, len: usize) -> Vec<u8> {
-        (0..len).map(|i| self.read_byte(addr + i as u64)).collect()
+        let mut out = vec![0u8; len];
+        self.read_into(addr, &mut out);
+        out
+    }
+
+    /// Copies the bytes at `addr` over the zeroed `out`, span by span.
+    fn read_into(&self, addr: u64, out: &mut [u8]) {
+        for (page, off, span) in spans(addr, out.len()) {
+            if let Some(page) = self.page(page) {
+                out[span.clone()].copy_from_slice(&page[off..off + span.len()]);
+            }
+        }
     }
 }
 
@@ -145,6 +233,44 @@ mod tests {
         m.write(addr, 0x0102_0304_0506_0708, 8);
         assert_eq!(m.read(addr, 8), 0x0102_0304_0506_0708);
         assert_eq!(m.resident_pages(), 2);
+    }
+
+    #[test]
+    fn accesses_wrap_at_the_top_of_the_address_space() {
+        // Reachable from a concretised symbolic pointer; must neither panic
+        // (overflow checks on) nor depend on the build profile.
+        let mut m = DataMemory::new();
+        assert_eq!(m.read(u64::MAX - 3, 8), 0);
+        m.write(u64::MAX - 3, 0x0102_0304_0506_0708, 8);
+        assert_eq!(m.read(u64::MAX - 3, 8), 0x0102_0304_0506_0708);
+        assert_eq!(m.read(u64::MAX - 3, 4), 0x0506_0708, "below the top");
+        assert_eq!(m.read(0, 4), 0x0102_0304, "wrapped to address 0");
+        assert_eq!(m.resident_pages(), 2);
+
+        m.write_bytes(u64::MAX - 1, &[0xaa, 0xbb, 0xcc]);
+        assert_eq!(m.read_bytes(u64::MAX - 1, 3), [0xaa, 0xbb, 0xcc]);
+        assert_eq!(m.read_byte(0), 0xcc);
+        m.fill(u64::MAX - 4, 0x1122_3344, 4, 3);
+        assert_eq!(m.read(u64::MAX - 4, 4), 0x1122_3344);
+        assert_eq!(m.read(u64::MAX, 4), 0x1122_3344, "the straddling entry");
+        assert_eq!(m.read(3, 4), 0x1122_3344);
+        assert_eq!(m.resident_pages(), 2);
+    }
+
+    #[test]
+    fn pages_beyond_the_radix_behave_like_any_other() {
+        let mut m = DataMemory::new();
+        let edge = RADIX_PAGES << PAGE_SHIFT;
+        m.write(edge - 4, 0x0102_0304_0506_0708, 8); // last radix page + first far page
+        m.write(1 << 50, 7, 1);
+        assert_eq!(m.read(edge - 4, 8), 0x0102_0304_0506_0708);
+        assert_eq!(m.read(edge, 4), 0x0102_0304);
+        assert_eq!(m.read(1 << 50, 8), 7);
+        assert_eq!(m.read((1 << 50) + 4096, 8), 0);
+        assert_eq!(m.resident_pages(), 3);
+        let mut c = m.clone();
+        c.write(1 << 50, 9, 1);
+        assert_eq!(m.read(1 << 50, 1), 7);
     }
 
     #[test]

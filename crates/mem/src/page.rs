@@ -23,6 +23,9 @@ pub struct PageTable {
     /// Pre-shuffled pool of physical frames to hand out.
     frame_pool: Vec<u64>,
     next_frame: usize,
+    /// The `(page, frame)` pair `translate` resolved last: with huge pages
+    /// consecutive accesses mostly stay on one page and skip the map.
+    last: Option<(u64, u64)>,
 }
 
 impl PageTable {
@@ -44,6 +47,7 @@ impl PageTable {
             mapping: HashMap::new(),
             frame_pool,
             next_frame: 0,
+            last: None,
         }
     }
 
@@ -54,18 +58,34 @@ impl PageTable {
 
     /// Translates a virtual address to a physical address, allocating a
     /// frame for the page on first touch.
+    ///
+    /// # Panics
+    ///
+    /// When the frame pool is exhausted: handing a frame out twice would
+    /// alias two virtual pages onto one set of L3 buckets.
+    #[inline]
     pub fn translate(&mut self, vaddr: u64) -> u64 {
         let page = vaddr >> self.page_bits;
         let offset = vaddr & ((1u64 << self.page_bits) - 1);
-        let next = if self.mapping.contains_key(&page) {
-            self.mapping[&page]
-        } else {
-            let frame = self.frame_pool[self.next_frame % self.frame_pool.len()];
-            self.next_frame += 1;
-            self.mapping.insert(page, frame);
-            frame
+        let frame = match self.last {
+            Some((p, frame)) if p == page => frame,
+            _ => {
+                let frame = *self.mapping.entry(page).or_insert_with(|| {
+                    assert!(
+                        self.next_frame < self.frame_pool.len(),
+                        "page table out of physical frames: more than {} pages mapped \
+                         with page_bits = {}",
+                        self.frame_pool.len(),
+                        self.page_bits,
+                    );
+                    self.next_frame += 1;
+                    self.frame_pool[self.next_frame - 1]
+                });
+                self.last = Some((page, frame));
+                frame
+            }
         };
-        (next << self.page_bits) | offset
+        (frame << self.page_bits) | offset
     }
 
     /// Translates without allocating; returns `None` for unmapped pages.
@@ -136,5 +156,51 @@ mod tests {
         assert_ne!(p1, p2);
         assert_ne!(p0, p2);
         assert_eq!(pt.translate_existing(3 << 30), None);
+    }
+
+    #[test]
+    fn memoised_and_cold_translations_agree() {
+        // An interleaved stream: back-to-back repeats are answered by the
+        // last-page memo, `translate_existing` always by the map.
+        let mut memo = PageTable::new(30, 41);
+        let pages = [3u64, 3, 9, 3, 3, 0, 9, 9, 17, 0, 3];
+        for (i, page) in pages.iter().enumerate() {
+            let v = (page << 30) | (i as u64 * 0x1_0040);
+            let p = memo.translate(v);
+            assert_eq!(memo.translate(v), p, "repeat answered by the memo");
+            assert_eq!(memo.translate_existing(v), Some(p));
+            assert_eq!(p & ((1 << 30) - 1), v & ((1 << 30) - 1));
+        }
+        assert_eq!(memo.mapped_pages(), 4);
+        // The same pages, first touched in the same order by a table that
+        // never sees a page twice in a row (every query misses the memo):
+        // same frames.
+        let mut other = PageTable::new(30, 41);
+        for page in [3u64, 9, 0, 17] {
+            assert_eq!(
+                other.translate(page << 30),
+                memo.translate_existing(page << 30).unwrap()
+            );
+        }
+    }
+
+    #[test]
+    fn every_frame_is_handed_out_once() {
+        let mut pt = PageTable::new(12, 5);
+        let frames: std::collections::HashSet<u64> = (0..4096u64)
+            .map(|page| pt.translate(page << 12) >> 12)
+            .collect();
+        assert_eq!(frames.len(), 4096);
+        // Re-translating mapped pages needs no new frame.
+        assert_eq!(pt.translate(7 << 12) >> 12, pt.translate(7 << 12) >> 12);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of physical frames")]
+    fn the_4097th_page_does_not_alias_an_earlier_frame() {
+        let mut pt = PageTable::new(12, 5);
+        for page in 0..=4096u64 {
+            pt.translate(page << 12);
+        }
     }
 }

@@ -1205,7 +1205,11 @@ fn exec_batch(
     let dispatch_share = BATCH_DISPATCH_CYCLES / n;
     let dispatch_rem = BATCH_DISPATCH_CYCLES % n;
     let core_base = core_stage_base(core, 0);
-    let n_stages = chain.len();
+    let interps: Vec<Interpreter> = chain
+        .stages
+        .iter()
+        .map(|s| Interpreter::new(&s.nf.program, &s.nf.natives).with_limits(limits))
+        .collect();
     let mut batch_cycles = 0u64;
 
     for (k, (i, entry, pkt)) in batch.iter().enumerate() {
@@ -1213,9 +1217,7 @@ fn exec_batch(
         let mut total = PacketCounters::default();
         let mut was_dropped = false;
 
-        for s in 0..n_stages {
-            let stage = &chain.stages[s];
-            let interp = Interpreter::new(&stage.nf.program, &stage.nf.natives).with_limits(limits);
+        for (s, (stage, interp)) in chain.stages.iter().zip(&interps).enumerate() {
             cpu.begin_packet();
             let verdict = {
                 let mut sink = cpu.sink(core, core_base + stage.addr_base);
