@@ -5,8 +5,10 @@ use std::hint::black_box;
 
 use castan_core::expr::Constraint;
 use castan_core::rainbow::{ExhaustiveInverter, FlowKeySpace, HashInverter, RainbowTable};
-use castan_core::{AtomTable, Solver, SymExpr};
+use castan_core::{AnalysisConfig, AtomTable, Castan, SolveOutcome, Solver, SymExpr};
 use castan_ir::{BinOp, CmpOp, HashFunc};
+use castan_mem::{ContentionCatalog, HierarchyConfig, MemoryHierarchy, LINE_SIZE};
+use castan_nf::{nf_by_id, NfId};
 use castan_packet::{Ipv4Addr, PacketField};
 
 fn bench_solver(c: &mut Criterion) {
@@ -40,6 +42,66 @@ fn bench_solver(c: &mut Criterion) {
     });
 }
 
+/// What the engine actually asks: the path constraint of a finished quick
+/// NAT analysis (tens of constraints, one component per packet field and
+/// havoc) with the engine put back in front of the path's last table access,
+/// probing one cache line for it the two ways `resolve_symbolic_address`
+/// does. The exact pin inverts to a `Sat` model over the whole atom table;
+/// the within-the-line pair has no equality to invert and no candidate that
+/// is a bucket index, so its component runs the backtracking pass and the
+/// random completion to an `Unknown` — the engine's most common expensive
+/// answer.
+fn bench_path_constraint(c: &mut Criterion) {
+    let nf = nf_by_id(NfId::NatHashTable);
+    let catalog = {
+        let mut hier = MemoryHierarchy::new(HierarchyConfig::xeon_e5_2667v2(), 1);
+        let table = &nf.data_regions[0];
+        let lines = (0..2048u64).map(|i| table.base + (i * 8 * 64) % table.len);
+        ContentionCatalog::from_ground_truth(&mut hier, lines)
+    };
+    let (_, state) = Castan::new(AnalysisConfig::quick()).analyze_detailed(&nf, &catalog);
+    let state = state.expect("the quick NAT analysis completes a path");
+    let last = state.constraints.last().expect("a path constraint");
+    let (SymExpr::Cmp(CmpOp::Eq, addr, line), true) = (last.expr(), last.expected()) else {
+        panic!("the NAT path ends on an address pin, not {last:?}");
+    };
+    let line = line.as_const().expect("pinned to a concrete line");
+    let base: Vec<Constraint> = state
+        .constraints
+        .iter()
+        .filter(|c| c.atoms() != last.atoms())
+        .cloned()
+        .collect();
+    let pin = |op, bound| {
+        Constraint::require_true(SymExpr::cmp(
+            op,
+            SymExpr::clone(addr),
+            SymExpr::constant(bound),
+        ))
+    };
+    let exact = [pin(CmpOp::Eq, line)];
+    let within = [pin(CmpOp::Uge, line), pin(CmpOp::Ult, line + LINE_SIZE)];
+
+    let mut solver = Solver::default();
+    let sat = solver.solve_with_extra(&state.atoms, &base, &exact);
+    let unknown = solver.solve_with_extra(&state.atoms, &base, &within);
+    assert!(
+        base.len() >= 20 && sat.is_sat() && unknown == SolveOutcome::Unknown,
+        "the case no longer measures what it says: {} constraints, exact pin {}, line pin {unknown:?}",
+        base.len(),
+        if sat.is_sat() { "sat" } else { "not sat" },
+    );
+
+    let mut group = c.benchmark_group("path_constraint");
+    group.bench_function("exact_pin", |b| {
+        b.iter(|| black_box(solver.solve_with_extra(&state.atoms, &base, &exact)))
+    });
+    group.bench_function("line_pin", |b| {
+        b.iter(|| black_box(solver.solve_with_extra(&state.atoms, &base, &within)))
+    });
+    group.finish();
+}
+
 fn bench_inverters(c: &mut Criterion) {
     let mut group = c.benchmark_group("hash_inversion");
     group.sample_size(10);
@@ -59,5 +121,10 @@ fn bench_inverters(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_solver, bench_inverters);
+criterion_group!(
+    benches,
+    bench_solver,
+    bench_path_constraint,
+    bench_inverters
+);
 criterion_main!(benches);

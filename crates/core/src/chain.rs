@@ -154,10 +154,7 @@ fn translate_stage(
     let constraints = state
         .constraints
         .iter()
-        .map(|c| Constraint {
-            expr: subst(&c.expr, &map),
-            expected: c.expected,
-        })
+        .map(|c| Constraint::new(subst(c.expr(), &map), c.expected()))
         .collect();
     let havocs = state
         .havocs
@@ -269,8 +266,8 @@ fn analyze_chain_inner(
         for c in &stage.constraints {
             // Constant-folded falsehoods (a rewrite contradicts the branch)
             // are dropped without a solver call.
-            if let Some(v) = c.expr.as_const() {
-                if (v != 0) == c.expected {
+            if let Some(v) = c.expr().as_const() {
+                if (v != 0) == c.expected() {
                     continue; // trivially true: no information left
                 }
                 dropped_count += 1;
@@ -521,7 +518,7 @@ mod tests {
         let mut origin = AtomTable::new();
         let (constraints, _) = translate_stage(&lpm_state, &models[1], &mut origin);
         for c in &constraints {
-            for atom in c.atoms() {
+            for &atom in c.atoms() {
                 let kind = origin.kind(atom);
                 if let AtomKind::Field { field, .. } = kind {
                     assert_ne!(

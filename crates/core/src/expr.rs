@@ -10,7 +10,7 @@
 //! over (field extractions, affine index math) share one allocation.
 
 use std::cell::RefCell;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use castan_ir::{BinOp, CmpOp};
@@ -275,19 +275,19 @@ impl SymExpr {
         }
     }
 
-    /// Collects the atoms occurring in the expression.
-    pub fn atoms(&self) -> BTreeSet<AtomId> {
-        let mut out = BTreeSet::new();
+    /// The atoms occurring in the expression, ascending, each once.
+    pub fn atoms(&self) -> Vec<AtomId> {
+        let mut out = Vec::new();
         self.collect_atoms(&mut out);
+        out.sort_unstable();
+        out.dedup();
         out
     }
 
-    fn collect_atoms(&self, out: &mut BTreeSet<AtomId>) {
+    fn collect_atoms(&self, out: &mut Vec<AtomId>) {
         match self {
             SymExpr::Const(_) => {}
-            SymExpr::Atom(id) => {
-                out.insert(*id);
-            }
+            SymExpr::Atom(id) => out.push(*id),
             SymExpr::Bin(_, a, b) | SymExpr::Cmp(_, a, b) => {
                 a.collect_atoms(out);
                 b.collect_atoms(out);
@@ -307,39 +307,149 @@ impl SymExpr {
 
 /// A boolean constraint: the expression must evaluate to non-zero (when
 /// `expected` is true) or to zero (when false).
+///
+/// A constraint is immutable and a clone is one reference count: a path
+/// constraint is copied into every state that forks off it and asked about
+/// at every branch after the one that added it, so what the solver needs of
+/// it — its conjuncts, each with its atom list — is computed once, at
+/// construction, and shared by all clones.
 #[derive(Clone, Debug)]
-pub struct Constraint {
+pub struct Constraint(Arc<Prepared>);
+
+#[derive(Debug)]
+struct Prepared {
+    /// The constraint as asserted.
+    whole: Conjunct,
+    /// What it splits into; empty when `whole` is its own only conjunct.
+    split: Box<[Conjunct]>,
+}
+
+/// An asserted truth value of an expression, with the expression's atoms.
+/// Every [`Constraint`] is one; a constraint that is a boolean conjunction
+/// (`x && y` asserted true, `x || y` asserted false) also splits into one
+/// per operand, so the solver's propagation pass sees the underlying
+/// equalities — NF guard conditions are built exactly this way.
+#[derive(Debug)]
+pub(crate) struct Conjunct {
     /// The condition expression.
-    pub expr: SymExpr,
+    pub(crate) expr: SymExpr,
     /// Required truth value.
-    pub expected: bool,
+    pub(crate) expected: bool,
+    /// The atoms of `expr`, ascending, each once.
+    pub(crate) atoms: Box<[AtomId]>,
+}
+
+impl Conjunct {
+    fn new(expr: SymExpr, expected: bool) -> Conjunct {
+        Conjunct {
+            atoms: expr.atoms().into(),
+            expr,
+            expected,
+        }
+    }
+
+    /// Evaluates the conjunct under an assignment.
+    pub(crate) fn holds(&self, lookup: &dyn Fn(AtomId) -> u64) -> bool {
+        (self.expr.eval(lookup) != 0) == self.expected
+    }
+
+    /// `(lhs, rhs)` if the conjunct asserts `lhs == rhs` (either `Eq`
+    /// expected true or `Ne` expected false).
+    pub(crate) fn as_equality(&self) -> Option<(&SymExpr, &SymExpr)> {
+        match (&self.expr, self.expected) {
+            (SymExpr::Cmp(CmpOp::Eq, a, b), true) | (SymExpr::Cmp(CmpOp::Ne, a, b), false) => {
+                Some((a, b))
+            }
+            _ => None,
+        }
+    }
+}
+
+/// True for expressions whose value is always 0 or 1 (comparison results and
+/// their bitwise combinations): for these, bitwise `and`/`or` coincide with
+/// logical conjunction/disjunction.
+fn is_boolean(expr: &SymExpr) -> bool {
+    match expr {
+        SymExpr::Cmp(..) => true,
+        SymExpr::Const(v) => *v <= 1,
+        SymExpr::Bin(BinOp::And | BinOp::Or, a, b) => is_boolean(a) && is_boolean(b),
+        _ => false,
+    }
+}
+
+/// The two operands, if asserting `expected` of `expr` asserts it of both.
+fn conjunction(expr: &SymExpr, expected: bool) -> Option<(&SymExpr, &SymExpr)> {
+    match (expr, expected) {
+        (SymExpr::Bin(BinOp::And, a, b), true) | (SymExpr::Bin(BinOp::Or, a, b), false)
+            if is_boolean(a) && is_boolean(b) =>
+        {
+            Some((a, b))
+        }
+        _ => None,
+    }
+}
+
+fn split_conjunction(expr: &SymExpr, expected: bool, out: &mut Vec<Conjunct>) {
+    match conjunction(expr, expected) {
+        Some((a, b)) => {
+            split_conjunction(a, expected, out);
+            split_conjunction(b, expected, out);
+        }
+        None => out.push(Conjunct::new(expr.clone(), expected)),
+    }
 }
 
 impl Constraint {
+    /// Requires `expr != 0` (`expected` true) or `expr == 0` (false).
+    pub fn new(expr: SymExpr, expected: bool) -> Self {
+        let mut split = Vec::new();
+        if conjunction(&expr, expected).is_some() {
+            split_conjunction(&expr, expected, &mut split);
+        }
+        Constraint(Arc::new(Prepared {
+            whole: Conjunct::new(expr, expected),
+            split: split.into(),
+        }))
+    }
+
     /// Requires `expr != 0`.
     pub fn require_true(expr: SymExpr) -> Self {
-        Constraint {
-            expr,
-            expected: true,
-        }
+        Constraint::new(expr, true)
     }
 
     /// Requires `expr == 0`.
     pub fn require_false(expr: SymExpr) -> Self {
-        Constraint {
-            expr,
-            expected: false,
+        Constraint::new(expr, false)
+    }
+
+    /// The condition expression.
+    pub fn expr(&self) -> &SymExpr {
+        &self.0.whole.expr
+    }
+
+    /// Required truth value.
+    pub fn expected(&self) -> bool {
+        self.0.whole.expected
+    }
+
+    /// The conjuncts the constraint splits into, in expression order (itself,
+    /// if it is no conjunction); it holds iff every one of them does.
+    pub(crate) fn conjuncts(&self) -> &[Conjunct] {
+        if self.0.split.is_empty() {
+            std::slice::from_ref(&self.0.whole)
+        } else {
+            &self.0.split
         }
     }
 
     /// Evaluates the constraint under an assignment.
     pub fn holds(&self, lookup: &dyn Fn(AtomId) -> u64) -> bool {
-        (self.expr.eval(lookup) != 0) == self.expected
+        self.0.whole.holds(lookup)
     }
 
-    /// Atoms referenced by the constraint.
-    pub fn atoms(&self) -> BTreeSet<AtomId> {
-        self.expr.atoms()
+    /// Atoms referenced by the constraint, ascending, each once.
+    pub fn atoms(&self) -> &[AtomId] {
+        &self.0.whole.atoms
     }
 }
 
@@ -440,6 +550,37 @@ mod tests {
         assert!(c.holds(&|_| 0));
         assert!(!c.holds(&|_| 1));
         assert_eq!(c.atoms().len(), 1);
+    }
+
+    #[test]
+    fn conjunctions_split_into_their_operands() {
+        let lt = |a, v| SymExpr::cmp(CmpOp::Ult, SymExpr::atom(a), SymExpr::constant(v));
+        // (a0 < 5 && (a2 < 7 && a0 < 9)) asserted true: three conjuncts, in
+        // expression order, each with its own atoms.
+        let nested = SymExpr::bin(
+            BinOp::And,
+            lt(0, 5),
+            SymExpr::bin(BinOp::And, lt(2, 7), lt(0, 9)),
+        );
+        let c = Constraint::require_true(nested.clone());
+        let atoms: Vec<&[AtomId]> = c.conjuncts().iter().map(|p| &*p.atoms).collect();
+        assert_eq!(atoms, [&[0][..], &[2], &[0]]);
+        assert!(c.conjuncts().iter().all(|p| p.expected));
+        assert_eq!(c.atoms(), [0, 2]);
+        // `||` asserted false splits the same way; asserted true, or `&&`
+        // asserted false, it is one conjunct: the constraint itself.
+        let either = SymExpr::bin(BinOp::Or, lt(0, 5), lt(1, 7));
+        assert_eq!(
+            Constraint::require_false(either.clone()).conjuncts().len(),
+            2
+        );
+        assert_eq!(Constraint::require_true(either).conjuncts().len(), 1);
+        assert_eq!(Constraint::require_false(nested).conjuncts().len(), 1);
+        // Bitwise `and` of non-boolean operands is no conjunction.
+        let mask = SymExpr::bin(BinOp::And, SymExpr::atom(0), SymExpr::constant(0xff));
+        let c = Constraint::require_true(mask);
+        assert_eq!(c.conjuncts().len(), 1);
+        assert!(c.conjuncts()[0].as_equality().is_none());
     }
 
     #[test]

@@ -19,16 +19,51 @@
 //! budget is exhausted (treated conservatively by callers, like a solver
 //! timeout in the original tool).
 
-use std::collections::{BTreeSet, HashMap};
-
-use castan_ir::{BinOp, CmpOp};
+use castan_ir::BinOp;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::expr::{AtomId, AtomTable, Constraint, SymExpr};
+use crate::expr::{AtomId, AtomTable, Conjunct, Constraint, SymExpr};
 
-/// A full assignment of atoms to concrete values.
-pub type Model = HashMap<AtomId, u64>;
+/// An assignment of atoms to concrete values, dense over [`AtomId`].
+///
+/// A `Sat` answer covers every atom of the table the query was asked about
+/// (atoms no constraint mentions are 0), so the only atoms a model can be
+/// missing are those created after it was computed — and all of them in the
+/// empty model, which is how synthesis says "no assignment known" and falls
+/// back to builder defaults. Absent is therefore not the same as 0:
+/// [`Model::get`] tells the two apart, [`Model::value`] does not.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Model {
+    values: Vec<u64>,
+}
+
+impl Model {
+    /// The empty model: every atom absent.
+    pub fn new() -> Model {
+        Model::default()
+    }
+
+    /// The value of `id`, if the model covers it.
+    pub fn get(&self, id: AtomId) -> Option<u64> {
+        self.values.get(id as usize).copied()
+    }
+
+    /// The value of `id`, 0 if the model does not cover it.
+    pub fn value(&self, id: AtomId) -> u64 {
+        self.get(id).unwrap_or(0)
+    }
+
+    /// Evaluates `expr` under the model.
+    pub fn eval(&self, expr: &SymExpr) -> u64 {
+        expr.eval(&|id| self.value(id))
+    }
+
+    /// True if `constraint` holds under the model.
+    pub fn satisfies(&self, constraint: &Constraint) -> bool {
+        constraint.holds(&|id| self.value(id))
+    }
+}
 
 /// Result of a solver query.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -120,6 +155,7 @@ pub struct Solver {
     config: SolverConfig,
     rng: StdRng,
     stats: SolverStats,
+    scratch: Scratch,
 }
 
 impl Default for Solver {
@@ -135,6 +171,7 @@ impl Solver {
             rng: StdRng::seed_from_u64(config.seed),
             config,
             stats: SolverStats::default(),
+            scratch: Scratch::default(),
         }
     }
 
@@ -158,8 +195,24 @@ impl Solver {
         extra: &[Constraint],
     ) -> SolveOutcome {
         let outcome = self.solve_with_extra_inner(atoms, base, extra);
-        match outcome {
-            SolveOutcome::Sat(_) => self.stats.sat += 1,
+        match &outcome {
+            SolveOutcome::Sat(model) => {
+                self.stats.sat += 1;
+                // Self-check: the answer was assembled per conjunct and per
+                // component, so hold it against the query as it was asked.
+                if cfg!(debug_assertions) {
+                    for (i, c) in base.iter().chain(extra).enumerate() {
+                        assert!(
+                            model.satisfies(c),
+                            "solver self-check: the Sat model violates constraint {i} \
+                             of {} (base {}, extra {}): {c:?}",
+                            base.len() + extra.len(),
+                            base.len(),
+                            extra.len(),
+                        );
+                    }
+                }
+            }
             SolveOutcome::Unsat => self.stats.unsat += 1,
             SolveOutcome::Unknown => self.stats.unknown += 1,
         }
@@ -172,18 +225,20 @@ impl Solver {
         base: &[Constraint],
         extra: &[Constraint],
     ) -> SolveOutcome {
-        // Split boolean conjunctions (`x && y` asserted true, `x || y`
-        // asserted false) into separate constraints so the propagation pass
-        // sees the underlying equalities — NF guard conditions are built
-        // exactly this way.
-        let constraints: Vec<Constraint> = flatten_constraints_two(base, extra);
-        let constraints = constraints.as_slice();
+        // The query is over conjuncts, which every constraint prepared at
+        // construction; nothing of the (shared, long) base is re-walked here.
+        let conjuncts: Vec<&Conjunct> = base
+            .iter()
+            .chain(extra)
+            .flat_map(Constraint::conjuncts)
+            .collect();
 
         // Trivially contradictory concrete constraints short-circuit.
-        for c in constraints {
-            if c.expr.is_concrete() && !c.holds(&|_| 0) {
-                return SolveOutcome::Unsat;
-            }
+        if conjuncts
+            .iter()
+            .any(|c| c.atoms.is_empty() && !c.holds(&|_| 0))
+        {
+            return SolveOutcome::Unsat;
         }
 
         // Independence slicing (the optimization KLEE applies before every
@@ -194,124 +249,54 @@ impl Solver {
         // cheaper (propagation and the randomised completion touch only
         // the component's constraints) and more complete: a random search
         // over a 3-atom component succeeds where a joint draw across 40
-        // atoms starves its budget. Component models merge disjointly.
-        let components = components_by_shared_atoms(constraints);
-        if components.len() > 1 {
-            let mut model: Model = HashMap::new();
-            let mut unknown = false;
-            for comp in &components {
-                let slice: Vec<&Constraint> = comp.iter().map(|&i| &constraints[i]).collect();
-                match self.solve_jointly(atoms, &slice) {
-                    SolveOutcome::Sat(m) => model.extend(m),
-                    SolveOutcome::Unsat => return SolveOutcome::Unsat,
-                    SolveOutcome::Unknown => unknown = true,
-                }
+        // atoms starves its budget. Component models merge disjointly, over
+        // zeros for the atoms no constraint mentions.
+        let Scratch {
+            partition,
+            local_of,
+            comp_atoms,
+            values,
+            search,
+        } = &mut self.scratch;
+        partition.split(&conjuncts, atoms.len());
+        local_of.resize(atoms.len(), 0);
+        values.clear();
+        values.resize(atoms.len(), 0);
+        let mut unknown = false;
+        for members in partition.components() {
+            comp_atoms.clear();
+            comp_atoms.extend(members.iter().flat_map(|&i| conjuncts[i].atoms.iter()));
+            comp_atoms.sort_unstable();
+            comp_atoms.dedup();
+            for (pos, &a) in comp_atoms.iter().enumerate() {
+                local_of[a as usize] = pos;
             }
-            return if unknown {
-                SolveOutcome::Unknown
-            } else {
-                SolveOutcome::Sat(self.complete(atoms, model))
+            let component = Component {
+                conjuncts: &conjuncts,
+                members,
+                atoms: comp_atoms,
+                local_of,
+                table: atoms,
             };
-        }
-        let slice: Vec<&Constraint> = constraints.iter().collect();
-        match self.solve_jointly(atoms, &slice) {
-            SolveOutcome::Sat(m) => SolveOutcome::Sat(self.complete(atoms, m)),
-            other => other,
-        }
-    }
-
-    /// Solves one connected component of constraints as a joint system.
-    /// Returned models cover (at least) the component's atoms; callers
-    /// complete them to the full atom table.
-    fn solve_jointly(&mut self, atoms: &AtomTable, constraints: &[&Constraint]) -> SolveOutcome {
-        let mut model: Model = HashMap::new();
-        let used_choice_pins = self.propagate(constraints, &mut model, atoms);
-
-        if Self::all_hold(constraints, &model) {
-            return SolveOutcome::Sat(model);
-        }
-
-        // Values pinned by propagation through *exact* inversions are implied
-        // by equality constraints, so a constraint whose atoms are all pinned
-        // yet evaluates false is a genuine contradiction. Pins that involved
-        // a choice (masking operators with several pre-images) do not license
-        // this conclusion.
-        if !used_choice_pins {
-            for c in constraints {
-                if c.atoms().iter().all(|a| model.contains_key(a))
-                    && !c.holds(&|id| model.get(&id).copied().unwrap_or(0))
-                {
-                    return SolveOutcome::Unsat;
+            match component.solve(search, &mut self.rng, self.config.random_tries) {
+                Verdict::Sat => {
+                    for (&a, v) in comp_atoms.iter().zip(search.model()) {
+                        values[a as usize] = v.expect("a Sat component model is total");
+                    }
                 }
+                Verdict::Unsat => return SolveOutcome::Unsat,
+                // Later components are still solved: one of them may be
+                // Unsat, and their random draws are part of the stream.
+                Verdict::Unknown => unknown = true,
             }
         }
-
-        // Candidate values per atom: constants from the constraints plus
-        // boundary values.
-        let mut candidates: Vec<u64> = vec![0, 1];
-        for c in constraints {
-            collect_constants(&c.expr, &mut candidates);
-        }
-        candidates.sort_unstable();
-        candidates.dedup();
-
-        let unassigned: Vec<AtomId> = constraints
-            .iter()
-            .flat_map(|c| c.atoms())
-            .collect::<BTreeSet<_>>()
-            .into_iter()
-            .filter(|a| !model.contains_key(a))
-            .collect();
-
-        // Bounded backtracking over the candidate values with propagation
-        // between assignments: assign one atom, let propagation pin what
-        // follows from it, prune as soon as a fully-assigned constraint is
-        // violated. Deterministic, and far more effective on the small
-        // components slicing produces than blind random draws — most
-        // branches die at depth one.
-        let mut budget = CANDIDATE_DFS_BUDGET;
-        let covered = match self.candidate_dfs(
-            constraints,
-            atoms,
-            &model,
-            &unassigned,
-            &candidates,
-            &mut budget,
-        ) {
-            DfsOutcome::Found(m) => return SolveOutcome::Sat(m),
-            DfsOutcome::Exhausted => true,
-            DfsOutcome::OutOfBudget => false,
-        };
-
-        // Randomised completion. When the backtracking pass already
-        // covered the whole candidate grid, only full-range draws can
-        // still help, so a fraction of the budget suffices; otherwise the
-        // full budget mixes candidate and range draws.
-        let tries = if covered {
-            self.config.random_tries / 8
+        if unknown {
+            SolveOutcome::Unknown
         } else {
-            self.config.random_tries
-        };
-        for _ in 0..tries {
-            let mut trial = model.clone();
-            for &a in &unassigned {
-                let max = atoms.kind(a).max_value();
-                let v = if self.rng.random_bool(0.5) && !candidates.is_empty() {
-                    let idx = self.rng.random_range(0..candidates.len());
-                    candidates[idx].min(max)
-                } else {
-                    self.rng.random_range(0..=max)
-                };
-                trial.insert(a, v);
-            }
-            // A short propagation pass on top of the random seed values
-            // often fixes equality constraints the random draw missed.
-            self.propagate(constraints, &mut trial, atoms);
-            if Self::all_hold(constraints, &trial) {
-                return SolveOutcome::Sat(trial);
-            }
+            SolveOutcome::Sat(Model {
+                values: std::mem::take(values),
+            })
         }
-        SolveOutcome::Unknown
     }
 
     /// True if `constraints ∧ extra` is satisfiable (Unknown counts as
@@ -337,38 +322,296 @@ impl Solver {
             return Some(v);
         }
         match self.solve(atoms, constraints) {
-            SolveOutcome::Sat(m) => Some(expr.eval(&|id| m.get(&id).copied().unwrap_or(0))),
+            SolveOutcome::Sat(m) => Some(m.eval(expr)),
             _ => None,
         }
     }
+}
 
-    /// Depth-first search over candidate assignments for `order`'s atoms
-    /// (already sorted, so the search — and the solver's overall RNG
-    /// consumption — is deterministic). After each assignment a
+/// Buffers a [`Solver`] reuses from query to query (every one is rebuilt
+/// before it is read): a feasibility query is tens of microseconds, and a
+/// dozen allocations each would be a tenth of that — more when two workers
+/// share the allocator.
+#[derive(Clone, Debug, Default)]
+struct Scratch {
+    partition: Partition,
+    /// By `AtomId`: position among the current component's atoms.
+    local_of: Vec<usize>,
+    /// The current component's atoms, ascending.
+    comp_atoms: Vec<AtomId>,
+    /// The answer under construction, by `AtomId`.
+    values: Vec<u64>,
+    search: Search,
+}
+
+/// Node budget of the candidate backtracking pass (assignments tried
+/// across the whole search, not per level).
+const CANDIDATE_DFS_BUDGET: u32 = 512;
+
+/// What [`Component::solve`] concluded.
+enum Verdict {
+    /// Satisfiable; [`Search::model`] is a total model of the component.
+    Sat,
+    Unsat,
+    Unknown,
+}
+
+/// Result of the bounded candidate backtracking search.
+enum DfsOutcome {
+    /// A satisfying assignment, at this level of [`Search::levels`].
+    Found(usize),
+    /// The whole (pruned) candidate grid was covered without a hit.
+    Exhausted,
+    /// The node budget ran out before the grid was covered.
+    OutOfBudget,
+}
+
+/// The working memory of one component's search. Its models are *local*:
+/// one `Option<u64>` per atom of the component, in ascending atom order, so
+/// a search node copies a handful of words and nothing is hashed.
+#[derive(Clone, Debug, Default)]
+struct Search {
+    /// Local models back to back. Level 0 is the model propagation pinned
+    /// (and, after a `Sat`, the answer); level d + 1 is the trial a search
+    /// node at depth d assigns into. Every level assigns at least one atom,
+    /// so one level per unassigned atom is all the search needs.
+    levels: Vec<Option<u64>>,
+    /// Atoms per level.
+    width: usize,
+    /// Candidate values: constants from the constraints plus boundary
+    /// values, sorted.
+    candidates: Vec<u64>,
+    /// Positions level 0 leaves unassigned, ascending.
+    unassigned: Vec<usize>,
+}
+
+impl Search {
+    fn model(&self) -> &[Option<u64>] {
+        self.level(0)
+    }
+
+    fn level(&self, depth: usize) -> &[Option<u64>] {
+        &self.levels[depth * self.width..][..self.width]
+    }
+
+    /// Level `depth` to read and level `depth + 1` to write.
+    fn model_and_trial(&mut self, depth: usize) -> (&[Option<u64>], &mut [Option<u64>]) {
+        let (lower, upper) = self.levels.split_at_mut((depth + 1) * self.width);
+        (&lower[depth * self.width..], &mut upper[..self.width])
+    }
+
+    /// Makes level `depth` the answer.
+    fn accept(&mut self, depth: usize) {
+        let start = depth * self.width;
+        self.levels.copy_within(start..start + self.width, 0);
+    }
+}
+
+/// One connected component of a query.
+struct Component<'a> {
+    /// The query's conjuncts; `members` are the component's, in query order.
+    conjuncts: &'a [&'a Conjunct],
+    members: &'a [usize],
+    /// The component's atoms, ascending: the positions of a local model.
+    atoms: &'a [AtomId],
+    /// Position in `atoms` of each of them, by `AtomId` (entries of other
+    /// atoms are stale).
+    local_of: &'a [usize],
+    table: &'a AtomTable,
+}
+
+impl<'a> Component<'a> {
+    fn constraints(&self) -> impl Iterator<Item = &'a Conjunct> + '_ {
+        self.members.iter().map(|&i| self.conjuncts[i])
+    }
+
+    fn get(&self, model: &[Option<u64>], id: AtomId) -> Option<u64> {
+        model[self.local_of[id as usize]]
+    }
+
+    /// Largest value of the atom at `pos`.
+    fn max_value(&self, pos: usize) -> u64 {
+        self.table.kind(self.atoms[pos]).max_value()
+    }
+
+    fn free_atoms(&self, c: &Conjunct, model: &[Option<u64>]) -> usize {
+        c.atoms
+            .iter()
+            .filter(|&&a| self.get(model, a).is_none())
+            .count()
+    }
+
+    /// Evaluates `c`, whose atoms are all assigned.
+    fn holds(&self, c: &Conjunct, model: &[Option<u64>]) -> bool {
+        c.holds(&|id| self.get(model, id).unwrap_or(0))
+    }
+
+    /// True if some constraint has every atom assigned yet evaluates false.
+    fn any_violated(&self, model: &[Option<u64>]) -> bool {
+        self.constraints()
+            .any(|c| self.free_atoms(c, model) == 0 && !self.holds(c, model))
+    }
+
+    /// True if every atom is assigned and every constraint holds.
+    fn all_hold(&self, model: &[Option<u64>]) -> bool {
+        model.iter().all(Option::is_some) && self.constraints().all(|c| self.holds(c, model))
+    }
+
+    /// Solves the component as a joint system; on `Sat` the model is level 0
+    /// of `search`.
+    fn solve(&self, search: &mut Search, rng: &mut StdRng, random_tries: u32) -> Verdict {
+        search.width = self.atoms.len();
+        search.levels.clear();
+        search.levels.resize(search.width, None);
+        let used_choice_pins = self.propagate(&mut search.levels);
+
+        if self.all_hold(search.model()) {
+            return Verdict::Sat;
+        }
+
+        // Values pinned by propagation through *exact* inversions are implied
+        // by equality constraints, so a constraint whose atoms are all pinned
+        // yet evaluates false is a genuine contradiction. Pins that involved
+        // a choice (masking operators with several pre-images) do not license
+        // this conclusion.
+        if !used_choice_pins && self.any_violated(search.model()) {
+            return Verdict::Unsat;
+        }
+
+        search.candidates.clear();
+        search.candidates.extend([0, 1]);
+        for c in self.constraints() {
+            collect_constants(&c.expr, &mut search.candidates);
+        }
+        search.candidates.sort_unstable();
+        search.candidates.dedup();
+
+        // Positions are in ascending atom order, so the search — and the
+        // solver's overall RNG consumption — is deterministic.
+        search.unassigned.clear();
+        search
+            .unassigned
+            .extend((0..search.width).filter(|&pos| search.levels[pos].is_none()));
+        search
+            .levels
+            .resize(search.width * (search.unassigned.len() + 1), None);
+
+        // Bounded backtracking over the candidate values with propagation
+        // between assignments: assign one atom, let propagation pin what
+        // follows from it, prune as soon as a fully-assigned constraint is
+        // violated. Deterministic, and far more effective on the small
+        // components slicing produces than blind random draws — most
+        // branches die at depth one.
+        let mut budget = CANDIDATE_DFS_BUDGET;
+        let covered = match self.candidate_dfs(search, 0, &mut budget) {
+            DfsOutcome::Found(depth) => {
+                search.accept(depth);
+                return Verdict::Sat;
+            }
+            DfsOutcome::Exhausted => true,
+            DfsOutcome::OutOfBudget => false,
+        };
+
+        // Randomised completion. When the backtracking pass already
+        // covered the whole candidate grid, only full-range draws can
+        // still help, so a fraction of the budget suffices; otherwise the
+        // full budget mixes candidate and range draws. With nothing left to
+        // draw, the pinned model that failed above is all there is.
+        if search.unassigned.is_empty() {
+            return Verdict::Unknown;
+        }
+        let tries = if covered {
+            random_tries / 8
+        } else {
+            random_tries
+        };
+        let width = search.width;
+        for _ in 0..tries {
+            let (model, trial) = search.levels.split_at_mut(width);
+            let trial = &mut trial[..width];
+            trial.copy_from_slice(model);
+            for &pos in &search.unassigned {
+                let max = self.max_value(pos);
+                // The candidates are never empty: 0 and 1 are always in.
+                let v = if rng.random_bool(0.5) {
+                    let idx = rng.random_range(0..search.candidates.len());
+                    search.candidates[idx].min(max)
+                } else {
+                    rng.random_range(0..=max)
+                };
+                trial[pos] = Some(v);
+            }
+            // Every atom of the component is assigned now, so there is
+            // nothing for a propagation pass to pin.
+            if self.all_hold(trial) {
+                search.accept(1);
+                return Verdict::Sat;
+            }
+        }
+        Verdict::Unknown
+    }
+
+    /// Pins atoms from equality constraints until a fixpoint is reached.
+    /// Returns true if any pin involved a non-injective ("choice") operator.
+    fn propagate(&self, model: &mut [Option<u64>]) -> bool {
+        let mut used_choice = false;
+        for _round in 0..32 {
+            let mut changed = false;
+            for c in self.constraints() {
+                let Some((lhs, rhs)) = c.as_equality() else {
+                    continue;
+                };
+                // An inversion needs one side fully assigned and a single
+                // free atom on the other: with none there is nothing to pin,
+                // with two no side qualifies.
+                if self.free_atoms(c, model) != 1 {
+                    continue;
+                }
+                let lookup = |id: AtomId| self.get(model, id);
+                // Try both orientations; the free atom is on one side only
+                // (or on both, and neither evaluates), so at most one hits.
+                let hit =
+                    [(lhs, rhs), (rhs, lhs)]
+                        .into_iter()
+                        .find_map(|(target_side, value_side)| {
+                            let v = eval_partial(value_side, &lookup)?;
+                            invert_for_single_atom(target_side, v, &lookup)
+                        });
+                if let Some((atom, pinned, choice)) = hit {
+                    let pos = self.local_of[atom as usize];
+                    if pinned <= self.max_value(pos) {
+                        model[pos] = Some(pinned);
+                        used_choice |= choice;
+                        changed = true;
+                    }
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        used_choice
+    }
+
+    /// Depth-first search over candidate assignments for the unassigned
+    /// atoms of level `depth`, lowest first. After each assignment a
     /// propagation pass pins whatever the equalities imply, and the branch
     /// is pruned if any fully-assigned constraint is violated. `budget`
     /// counts assignment nodes across the whole search.
-    fn candidate_dfs(
-        &mut self,
-        constraints: &[&Constraint],
-        atoms: &AtomTable,
-        model: &Model,
-        order: &[AtomId],
-        candidates: &[u64],
-        budget: &mut u32,
-    ) -> DfsOutcome {
-        let Some(&atom) = order.iter().find(|a| !model.contains_key(a)) else {
-            return if Self::all_hold(constraints, model) {
-                DfsOutcome::Found(model.clone())
+    fn candidate_dfs(&self, search: &mut Search, depth: usize, budget: &mut u32) -> DfsOutcome {
+        let model = search.level(depth);
+        let Some(pos) = model.iter().position(Option::is_none) else {
+            return if self.all_hold(model) {
+                DfsOutcome::Found(depth)
             } else {
                 DfsOutcome::Exhausted
             };
         };
-        let max = atoms.kind(atom).max_value();
+        let max = self.max_value(pos);
         let mut out_of_budget = false;
         let mut last = None;
-        for cand in candidates {
-            let v = (*cand).min(max);
+        for i in 0..search.candidates.len() {
+            let v = search.candidates[i].min(max);
             if last == Some(v) {
                 continue; // candidates are sorted; clamping makes duplicates
             }
@@ -377,14 +620,15 @@ impl Solver {
                 return DfsOutcome::OutOfBudget;
             }
             *budget -= 1;
-            let mut trial = model.clone();
-            trial.insert(atom, v);
-            self.propagate(constraints, &mut trial, atoms);
-            if Self::any_violated(constraints, &trial) {
+            let (model, trial) = search.model_and_trial(depth);
+            trial.copy_from_slice(model);
+            trial[pos] = Some(v);
+            self.propagate(trial);
+            if self.any_violated(trial) {
                 continue;
             }
-            match self.candidate_dfs(constraints, atoms, &trial, order, candidates, budget) {
-                DfsOutcome::Found(m) => return DfsOutcome::Found(m),
+            match self.candidate_dfs(search, depth + 1, budget) {
+                DfsOutcome::Found(at) => return DfsOutcome::Found(at),
                 DfsOutcome::Exhausted => {}
                 DfsOutcome::OutOfBudget => out_of_budget = true,
             }
@@ -395,185 +639,87 @@ impl Solver {
             DfsOutcome::Exhausted
         }
     }
-
-    /// True if some constraint has every atom assigned yet evaluates false.
-    fn any_violated(constraints: &[&Constraint], model: &Model) -> bool {
-        constraints.iter().any(|c| {
-            c.atoms().iter().all(|a| model.contains_key(a))
-                && !c.holds(&|id| model.get(&id).copied().unwrap_or(0))
-        })
-    }
-
-    fn all_hold(constraints: &[&Constraint], model: &Model) -> bool {
-        // Constraints whose atoms are not all assigned are evaluated with
-        // zero defaults; the final `complete` pass re-checks nothing, so we
-        // require every referenced atom to be assigned.
-        for c in constraints {
-            if c.atoms().iter().any(|a| !model.contains_key(a)) {
-                return false;
-            }
-            if !c.holds(&|id| model.get(&id).copied().unwrap_or(0)) {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Fills unconstrained atoms with defaults (zero), producing a total
-    /// model over the atom table.
-    fn complete(&mut self, atoms: &AtomTable, mut model: Model) -> Model {
-        for id in atoms.ids() {
-            model.entry(id).or_insert(0);
-        }
-        model
-    }
-
-    /// Pins atoms from equality constraints until a fixpoint is reached.
-    /// Returns true if any pin involved a non-injective ("choice") operator.
-    fn propagate(
-        &mut self,
-        constraints: &[&Constraint],
-        model: &mut Model,
-        atoms: &AtomTable,
-    ) -> bool {
-        let mut changed = true;
-        let mut rounds = 0;
-        let mut used_choice = false;
-        while changed && rounds < 32 {
-            changed = false;
-            rounds += 1;
-            for c in constraints {
-                if let Some((lhs, rhs)) = as_equality(c) {
-                    // Try both orientations.
-                    let mut pending: Vec<(AtomId, u64, bool)> = Vec::new();
-                    {
-                        let lookup = |id: AtomId| model.get(&id).copied();
-                        for (target_side, value_side) in [(&lhs, &rhs), (&rhs, &lhs)] {
-                            if let Some(v) = eval_partial(value_side, &lookup) {
-                                if let Some(hit) = invert_for_single_atom(target_side, v, &lookup) {
-                                    pending.push(hit);
-                                }
-                            }
-                        }
-                    }
-                    for (atom, pinned, choice) in pending {
-                        if !model.contains_key(&atom) && pinned <= atoms.kind(atom).max_value() {
-                            model.insert(atom, pinned);
-                            used_choice |= choice;
-                            changed = true;
-                        }
-                    }
-                }
-            }
-        }
-        used_choice
-    }
 }
 
-/// Node budget of the candidate backtracking pass (assignments tried
-/// across the whole search, not per level).
-const CANDIDATE_DFS_BUDGET: u32 = 512;
-
-/// Result of the bounded candidate backtracking search.
-enum DfsOutcome {
-    /// A satisfying assignment over the component's atoms.
-    Found(Model),
-    /// The whole (pruned) candidate grid was covered without a hit.
-    Exhausted,
-    /// The node budget ran out before the grid was covered.
-    OutOfBudget,
+/// The connected components of a query's conjuncts under the "shares an
+/// atom" relation, in first-appearance order with their members in query
+/// order, so the partition — and therefore the solver's RNG consumption —
+/// is deterministic. Atom-free (concrete) conjuncts are singletons.
+#[derive(Clone, Debug, Default)]
+struct Partition {
+    /// Union–find over conjunct indices.
+    parent: Vec<usize>,
+    /// By `AtomId`: the first conjunct seen with the atom.
+    owner: Vec<usize>,
+    /// By root conjunct: its component.
+    component_of: Vec<usize>,
+    /// Conjunct indices, grouped by component.
+    members: Vec<usize>,
+    /// Component c ends before `members[ends[c]]`, where c + 1 starts.
+    ends: Vec<usize>,
 }
 
-/// Partitions constraints into connected components under the
-/// "shares an atom" relation (union–find over constraint indices).
-/// Components are returned in first-appearance order with their member
-/// indices ascending, so the partition — and therefore the solver's RNG
-/// consumption — is deterministic. Atom-free (concrete) constraints each
-/// form their own singleton component.
-fn components_by_shared_atoms(constraints: &[Constraint]) -> Vec<Vec<usize>> {
-    let mut parent: Vec<usize> = (0..constraints.len()).collect();
-    fn find(parent: &mut [usize], mut x: usize) -> usize {
-        while parent[x] != x {
-            parent[x] = parent[parent[x]];
-            x = parent[x];
+impl Partition {
+    const NONE: usize = usize::MAX;
+
+    fn find(&mut self, mut x: usize) -> usize {
+        while self.parent[x] != x {
+            self.parent[x] = self.parent[self.parent[x]];
+            x = self.parent[x];
         }
         x
     }
-    let mut owner: HashMap<AtomId, usize> = HashMap::new();
-    for (i, c) in constraints.iter().enumerate() {
-        for a in c.atoms() {
-            match owner.entry(a) {
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    v.insert(i);
-                }
-                std::collections::hash_map::Entry::Occupied(o) => {
-                    let (ra, rb) = (find(&mut parent, i), find(&mut parent, *o.get()));
-                    if ra != rb {
-                        parent[ra] = rb;
-                    }
+
+    /// Partitions `conjuncts`, whose atoms index a table of `n_atoms`.
+    fn split(&mut self, conjuncts: &[&Conjunct], n_atoms: usize) {
+        let n = conjuncts.len();
+        self.parent.clear();
+        self.parent.extend(0..n);
+        self.owner.clear();
+        self.owner.resize(n_atoms, Self::NONE);
+        for (i, c) in conjuncts.iter().enumerate() {
+            for &a in c.atoms.iter() {
+                let first = self.owner[a as usize];
+                if first == Self::NONE {
+                    self.owner[a as usize] = i;
+                } else {
+                    let (ra, rb) = (self.find(i), self.find(first));
+                    self.parent[ra] = rb;
                 }
             }
         }
-    }
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    let mut group_of: HashMap<usize, usize> = HashMap::new();
-    for i in 0..constraints.len() {
-        let root = find(&mut parent, i);
-        match group_of.entry(root) {
-            std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert(groups.len());
-                groups.push(vec![i]);
+        // Counting sort by component, numbered as first met: count, turn the
+        // counts into each component's start, then fill — which leaves every
+        // cursor one past its component's last member.
+        self.component_of.clear();
+        self.component_of.resize(n, Self::NONE);
+        self.ends.clear();
+        for i in 0..n {
+            let root = self.find(i);
+            if self.component_of[root] == Self::NONE {
+                self.component_of[root] = self.ends.len();
+                self.ends.push(0);
             }
-            std::collections::hash_map::Entry::Occupied(o) => groups[*o.get()].push(i),
+            self.ends[self.component_of[root]] += 1;
+        }
+        let mut start = 0;
+        for end in &mut self.ends {
+            start += std::mem::replace(end, start);
+        }
+        self.members.clear();
+        self.members.resize(n, 0);
+        for i in 0..n {
+            let root = self.find(i);
+            let cursor = &mut self.ends[self.component_of[root]];
+            self.members[*cursor] = i;
+            *cursor += 1;
         }
     }
-    groups
-}
 
-/// True for expressions whose value is always 0 or 1 (comparison results and
-/// their bitwise combinations): for these, bitwise `and`/`or` coincide with
-/// logical conjunction/disjunction.
-fn is_boolean(expr: &SymExpr) -> bool {
-    match expr {
-        SymExpr::Cmp(..) => true,
-        SymExpr::Const(v) => *v <= 1,
-        SymExpr::Bin(BinOp::And | BinOp::Or, a, b) => is_boolean(a) && is_boolean(b),
-        _ => false,
-    }
-}
-
-/// Splits boolean conjunctions into separate constraints, over the
-/// concatenation of two slices.
-fn flatten_constraints_two(base: &[Constraint], extra: &[Constraint]) -> Vec<Constraint> {
-    let mut out = Vec::with_capacity(base.len() + extra.len());
-    for c in base.iter().chain(extra) {
-        flatten_one(c, &mut out);
-    }
-    out
-}
-
-fn flatten_one(c: &Constraint, out: &mut Vec<Constraint>) {
-    match (&c.expr, c.expected) {
-        (SymExpr::Bin(BinOp::And, a, b), true) if is_boolean(a) && is_boolean(b) => {
-            flatten_one(&Constraint::require_true((**a).clone()), out);
-            flatten_one(&Constraint::require_true((**b).clone()), out);
-        }
-        (SymExpr::Bin(BinOp::Or, a, b), false) if is_boolean(a) && is_boolean(b) => {
-            flatten_one(&Constraint::require_false((**a).clone()), out);
-            flatten_one(&Constraint::require_false((**b).clone()), out);
-        }
-        _ => out.push(c.clone()),
-    }
-}
-
-/// Extracts `lhs == rhs` from a constraint if it is an equality (either
-/// `Eq` expected true or `Ne` expected false).
-fn as_equality(c: &Constraint) -> Option<(SymExpr, SymExpr)> {
-    match (&c.expr, c.expected) {
-        (SymExpr::Cmp(CmpOp::Eq, a, b), true) | (SymExpr::Cmp(CmpOp::Ne, a, b), false) => {
-            Some(((**a).clone(), (**b).clone()))
-        }
-        _ => None,
+    fn components(&self) -> impl Iterator<Item = &[usize]> {
+        self.ends.iter().scan(0, |start, &end| {
+            Some(&self.members[std::mem::replace(start, end)..end])
+        })
     }
 }
 
@@ -713,6 +859,7 @@ fn collect_constants(expr: &SymExpr, out: &mut Vec<u64>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use castan_ir::CmpOp;
     use castan_packet::PacketField;
 
     fn atom_table() -> (AtomTable, AtomId, AtomId) {
@@ -732,7 +879,7 @@ mod tests {
         let mut s = Solver::default();
         let c = eq(SymExpr::atom(ip), SymExpr::constant(0x0a000001));
         match s.solve(&t, &[c]) {
-            SolveOutcome::Sat(m) => assert_eq!(m[&ip], 0x0a000001),
+            SolveOutcome::Sat(m) => assert_eq!(m.get(ip), Some(0x0a000001)),
             other => panic!("expected sat, got {other:?}"),
         }
     }
@@ -755,8 +902,8 @@ mod tests {
         let m = s.solve(&t, std::slice::from_ref(&c)).model().expect("sat");
         // Check by evaluation rather than a specific value: any ip with
         // ip >> 5 == 0x48c is fine.
-        assert!(c.holds(&|id| m.get(&id).copied().unwrap_or(0)));
-        assert_eq!(m[&ip] >> 5, 0x48c);
+        assert!(m.satisfies(&c));
+        assert_eq!(m.value(ip) >> 5, 0x48c);
     }
 
     #[test]
@@ -811,8 +958,8 @@ mod tests {
             .solve(&t, &cs)
             .model()
             .expect("narrow range should be found");
-        assert!(m[&port] > 90 && m[&port] < 100);
-        assert_eq!(m[&ip], 7);
+        assert!(m.value(port) > 90 && m.value(port) < 100);
+        assert_eq!(m.value(ip), 7);
     }
 
     #[test]
@@ -888,6 +1035,6 @@ mod tests {
         );
         let c = eq(e, SymExpr::constant(0x1234));
         let m = s.solve(&t, std::slice::from_ref(&c)).model().expect("sat");
-        assert!(c.holds(&|id| m.get(&id).copied().unwrap_or(0)));
+        assert!(m.satisfies(&c));
     }
 }

@@ -176,7 +176,7 @@ mod tests {
         let mut m = SymMemory::new(Arc::new(DataMemory::new()));
         m.store(0x40, 4, SymExpr::atom(3));
         let e = m.load(0x40, 4, &mut |_| panic!("no concretization expected"));
-        assert_eq!(e.atoms().into_iter().collect::<Vec<_>>(), vec![3]);
+        assert_eq!(e.atoms(), [3]);
         assert_eq!(m.symbolic_cells(), 1);
     }
 

@@ -105,7 +105,7 @@ pub fn synthesize(
     // hash value (it is in the model); (2) the table proposes pre-images;
     // (3) the solver checks each pre-image against the packet constraints.
     for havoc in &state.havocs {
-        let target = model.get(&havoc.output).copied().unwrap_or(0);
+        let target = model.value(havoc.output);
         let inverter = inverters
             .iter()
             .find(|(f, _)| *f == havoc.func)
@@ -192,7 +192,7 @@ fn build_packets(state: &ExecState, model: &Model) -> Vec<Packet> {
         let value_of = |field: PacketField| -> Option<u64> {
             state.atoms.ids().find_map(|id| match state.atoms.kind(id) {
                 AtomKind::Field { packet, field: f } if packet == pkt && f == field => {
-                    model.get(&id).copied()
+                    model.get(id)
                 }
                 _ => None,
             })

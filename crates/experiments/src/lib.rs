@@ -2890,25 +2890,12 @@ mod tests {
         assert!(rendered.contains("Manual"));
     }
 
-    /// `tiny_cfg`, further scaled down for the chain sweeps so the debug
-    /// (tier-1) run stays tractable; release keeps the larger sample.
-    fn tiny_chain_cfg() -> ExperimentConfig {
-        let mut cfg = tiny_cfg();
-        if cfg!(debug_assertions) || std::env::var("FORCE_TINY").is_ok() {
-            cfg.measurement.total_packets = 500;
-            cfg.measurement.warmup_packets = 50;
-            cfg.workload_scale = 0.002;
-            cfg.throughput.packets_per_trial = 4_000;
-        }
-        cfg
-    }
-
     #[test]
     fn chain_castan_beats_zipfian_on_nat_lpm() {
         // The acceptance bar for the chain subsystem: the synthesized chain
         // workload costs more cycles per packet (and therefore sustains a
         // lower throughput) than Zipfian traffic on the nat→lpm chain.
-        let cfg = tiny_chain_cfg();
+        let cfg = tiny_cfg();
         let chain = castan_chain::chain_by_id(castan_chain::ChainId::NatLpm);
         let (suite, report) = chain_workload_suite(&chain, &cfg);
         assert!(report.packets.len() >= 4);
@@ -2934,7 +2921,7 @@ mod tests {
 
     #[test]
     fn chain_table_covers_all_chains_and_core_workloads() {
-        let t = chain_table(&tiny_chain_cfg());
+        let t = chain_table(&tiny_cfg());
         assert_eq!(t.columns.len(), 1 + castan_chain::ChainId::ALL.len());
         assert!(t.rows.len() >= 3, "at least three workload rows");
         let rendered = t.render();
@@ -2949,7 +2936,7 @@ mod tests {
         // near-linearly from 1 to 4 cores; (b) the synthesized queue-skew
         // workload holds the 4-core aggregate to ≲1.5× the single-core
         // rate (every flow lands on one queue, the other cores idle).
-        let cfg = tiny_chain_cfg();
+        let cfg = tiny_cfg();
         let chains = [castan_chain::chain_by_id(castan_chain::ChainId::Nop3)];
         let cells = rss_scaling_data_for(&chains, &cfg);
         let mpps = |kind: WorkloadKind, cores: usize| {
@@ -2990,7 +2977,7 @@ mod tests {
         } else {
             castan_chain::all_chains()
         };
-        let t = rss_scaling_for(&chains, &tiny_chain_cfg());
+        let t = rss_scaling_for(&chains, &tiny_cfg());
         assert_eq!(t.columns.len(), 1 + RSS_CORE_COUNTS.len());
         // 4 workloads per chain.
         assert_eq!(t.rows.len(), 4 * chains.len());
@@ -3005,7 +2992,7 @@ mod tests {
         // The online resynthesis attacker must keep perfect steering
         // across the key-rotating defender's whole schedule: epoch e's
         // packets land on the victim queue under rotate_key(boot, e).
-        let cfg = tiny_chain_cfg();
+        let cfg = tiny_cfg();
         let chain = castan_chain::chain_by_id(castan_chain::ChainId::Nop3);
         let run = resynth_skew_chain_workload(&chain, &cfg, 0);
         assert_eq!(run.workload.kind, WorkloadKind::ResynthSkew);
@@ -3047,7 +3034,7 @@ mod tests {
         //     to a fully skewed bottleneck;
         // (c) only the work-stealing sink holds throughput under the
         //     adaptive attack.
-        let cfg = tiny_chain_cfg();
+        let cfg = tiny_cfg();
         let chains = [castan_chain::chain_by_id(castan_chain::ChainId::Nop3)];
         let cells = rss_mitigation_data_for(&chains, &cfg);
         assert_eq!(cells.len(), 3 * MitigationKind::ALL.len());
@@ -3160,7 +3147,7 @@ mod tests {
         // mitigation subsystem must not perturb the measurement pipeline it
         // extends.
         let chain = castan_chain::chain_by_id(castan_chain::ChainId::NatLpm);
-        let cfg = tiny_chain_cfg();
+        let cfg = tiny_cfg();
         let wl = generic_chain_workload(
             &chain,
             WorkloadKind::Zipfian,
@@ -3182,7 +3169,7 @@ mod tests {
     #[test]
     fn rss_mitigation_table_covers_the_matrix() {
         let chains = vec![castan_chain::chain_by_id(castan_chain::ChainId::Nop3)];
-        let t = rss_mitigation_for(&chains, &tiny_chain_cfg());
+        let t = rss_mitigation_for(&chains, &tiny_cfg());
         assert_eq!(t.columns.len(), 7);
         assert_eq!(t.rows.len(), 3 * MitigationKind::ALL.len());
         let rendered = t.render();
@@ -3200,7 +3187,7 @@ mod tests {
         // throughput strictly more than an equal-rate random neighbour
         // (whose pressure, spread over all buckets, stays resident and
         // evicts essentially nothing).
-        let cfg = tiny_chain_cfg();
+        let cfg = tiny_cfg();
         let chains = [castan_chain::chain_by_id(castan_chain::ChainId::NatLpm)];
         let cells = xcore_contention_data_for(&chains, &cfg);
         assert_eq!(
@@ -3263,7 +3250,7 @@ mod tests {
         // the replay machinery must not perturb the measurement pipeline
         // it extends.
         use castan_testbed::{victim_table, ShardedDut};
-        let cfg = tiny_chain_cfg();
+        let cfg = tiny_cfg();
         let chain = castan_chain::chain_by_id(castan_chain::ChainId::NatLpm);
         let wl = generic_chain_workload(
             &chain,
@@ -3293,12 +3280,12 @@ mod tests {
         }
     }
 
-    /// `tiny_chain_cfg` with a longer trace for the fleet sweeps: the
-    /// 2→4-node scaling bar divides a multinomial node split, so a few
-    /// hundred measured packets would leave too much variance; the chain
-    /// under test is the cheap nop3, so the larger count stays fast.
+    /// `tiny_cfg` with a longer trace for the fleet sweeps: the 2→4-node
+    /// scaling bar divides a multinomial node split, so a thousand measured
+    /// packets would leave too much variance; the chain under test is the
+    /// cheap nop3, so the larger count stays fast.
     fn tiny_cluster_cfg() -> ExperimentConfig {
-        let mut cfg = tiny_chain_cfg();
+        let mut cfg = tiny_cfg();
         cfg.measurement.total_packets = 2_000;
         cfg.measurement.warmup_packets = 200;
         cfg
@@ -3400,7 +3387,7 @@ mod tests {
     #[test]
     fn cluster_skew_table_covers_the_matrix() {
         let chains = vec![castan_chain::chain_by_id(castan_chain::ChainId::Nop3)];
-        let t = cluster_skew_for(&chains, &tiny_chain_cfg());
+        let t = cluster_skew_for(&chains, &tiny_cfg());
         assert_eq!(t.columns.len(), 1 + CLUSTER_NODE_COUNTS.len());
         // 5 workloads × 3 arms (the nop3 CASTAN workload is non-empty).
         assert_eq!(t.rows.len(), 5 * ClusterArm::ALL.len());
@@ -3414,7 +3401,7 @@ mod tests {
     #[test]
     fn xcore_contention_table_covers_the_matrix() {
         let chains = vec![castan_chain::chain_by_id(castan_chain::ChainId::NatLpm)];
-        let t = xcore_contention_for(&chains, &tiny_chain_cfg());
+        let t = xcore_contention_for(&chains, &tiny_cfg());
         assert_eq!(t.columns.len(), 5);
         assert_eq!(
             t.rows.len(),
@@ -3428,7 +3415,7 @@ mod tests {
         // nop-only chains have nothing to evict and are skipped.
         let nop = xcore_contention_for(
             &[castan_chain::chain_by_id(castan_chain::ChainId::Nop3)],
-            &tiny_chain_cfg(),
+            &tiny_cfg(),
         );
         assert!(nop.rows.is_empty());
     }
@@ -3442,7 +3429,7 @@ mod tests {
         // operator cooperation, only packets.
         use castan_core::analyze_chain_cross_core;
         use castan_workload::neighbor_evict_workload;
-        let cfg = tiny_chain_cfg();
+        let cfg = tiny_cfg();
         let chain = castan_chain::chain_by_id(castan_chain::ChainId::NatLpm);
         let wl_cfg = WorkloadConfig::scaled(cfg.workload_scale);
         let victim_wl = generic_chain_workload(&chain, WorkloadKind::Zipfian, &wl_cfg);
@@ -3501,7 +3488,7 @@ mod tests {
         // (d) the closed-loop arm — mitigation installed only after the
         //     first alarm, overhead still charged — recovers >= 2x over
         //     the unmitigated attacked arm.
-        let cfg = tiny_chain_cfg();
+        let cfg = tiny_cfg();
         let chain = castan_chain::chain_by_id(castan_chain::ChainId::NatLpm);
         let report = detect_data_for(&chain, &cfg);
         assert_eq!(report.cells.len(), DetectArm::ALL.len());
@@ -3617,7 +3604,7 @@ mod tests {
         // loosen the benign envelope (the quantile is capped at the
         // tracked max by construction), and the tighter envelope must not
         // invent alarms on the very runs it was learned from.
-        let cfg = tiny_chain_cfg();
+        let cfg = tiny_cfg();
         let chain = castan_chain::chain_by_id(castan_chain::ChainId::NatLpm);
         let calib = detect_benign_registries(&chain, &cfg);
         let refs: Vec<&Registry> = calib.iter().collect();
