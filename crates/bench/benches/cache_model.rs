@@ -25,7 +25,14 @@ fn bench_probing(c: &mut Criterion) {
         let mut hier = MemoryHierarchy::new(HierarchyConfig::tiny_for_tests(), 3);
         let span = hier.config().l3_slice_geometry().sets() * LINE_SIZE;
         let addrs: Vec<u64> = (0..64).map(|i| 0x10_0000 + i * span).collect();
-        b.iter(|| black_box(probing_time(&mut hier, &addrs, ProbeConfig::default())))
+        b.iter(|| {
+            black_box(probing_time(
+                hier.multicore_mut(),
+                0,
+                &addrs,
+                ProbeConfig::default(),
+            ))
+        })
     });
 }
 
@@ -38,7 +45,8 @@ fn bench_discovery_and_ground_truth(c: &mut Criterion) {
             let span = hier.config().l3_slice_geometry().sets() * LINE_SIZE;
             let candidates: Vec<u64> = (0..48).map(|i| 0x10_0000 + i * span).collect();
             black_box(discover_contention_set(
-                &mut hier,
+                hier.multicore_mut(),
+                0,
                 &candidates,
                 &DiscoveryConfig::default(),
             ))

@@ -8,7 +8,7 @@ use std::hint::black_box;
 use castan_chain::{all_chains, chain_by_id, ChainId};
 use castan_core::{analyze_chain, AnalysisConfig, Castan};
 use castan_mem::{ContentionCatalog, HierarchyConfig, MemoryHierarchy};
-use castan_testbed::{measure_chain, ChainDut, MeasurementConfig};
+use castan_testbed::{measure_chain, MeasurementConfig, ShardConfig, ShardedDut};
 use castan_workload::{generic_chain_workload, WorkloadConfig, WorkloadKind};
 
 fn bench_chain_datapath(c: &mut Criterion) {
@@ -25,8 +25,8 @@ fn bench_chain_datapath(c: &mut Criterion) {
             &WorkloadConfig::scaled(0.002),
         );
         group.bench_function(BenchmarkId::from_parameter(chain.name()), |b| {
-            let mut dut = ChainDut::new(chain.clone(), &cfg);
-            b.iter(|| black_box(dut.run(&wl, &cfg).median_cycles()))
+            let mut dut = ShardedDut::new(chain.clone(), ShardConfig::unbatched(1), &cfg);
+            b.iter(|| black_box(dut.run(&wl, &cfg).as_measurement().median_cycles()))
         });
     }
     group.finish();
@@ -44,7 +44,10 @@ fn bench_chain_measurement(c: &mut Criterion) {
     for kind in [WorkloadKind::Zipfian, WorkloadKind::UniRand] {
         let wl = generic_chain_workload(&chain, kind, &WorkloadConfig::scaled(0.002));
         group.bench_function(BenchmarkId::from_parameter(kind.name()), |b| {
-            b.iter(|| black_box(measure_chain(&chain, &wl, &cfg).median_latency_ns()))
+            b.iter(|| {
+                let m = measure_chain(&chain, &wl, &cfg).as_measurement();
+                black_box(m.median_latency_ns())
+            })
         });
     }
     group.finish();

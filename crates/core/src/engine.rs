@@ -10,6 +10,8 @@
 //! is handed to the synthesis stage, which resolves its path constraint into
 //! concrete packets.
 //!
+//! [`SearchStrategy`]: crate::search::SearchStrategy
+//!
 //! # Parallel exploration
 //!
 //! Exploration proceeds in *rounds*: each round pops a fixed-size batch of

@@ -38,8 +38,8 @@ use castan_telemetry::{
 };
 use castan_testbed::{
     max_throughput_mpps, measure, measure_chain, measure_sharded, victim_table, Cdf,
-    DetectionConfig, Measurement, MeasurementConfig, MitigationConfig, NoisyNeighborDut,
-    ShardConfig, ShardedDut, TelemetryConfig, ThroughputConfig,
+    DetectionConfig, Measurement, MeasurementConfig, MitigationConfig, NeighborReplay, ShardConfig,
+    ShardedDut, ShardedMeasurement, TelemetryConfig, ThroughputConfig,
 };
 use castan_workload::{
     adaptive_skew_trace, castan_workload, chain_unirand_castan, generic_chain_workload,
@@ -574,8 +574,8 @@ pub fn chain_table(cfg: &ExperimentConfig) -> Table {
             if wl.is_empty() {
                 continue;
             }
-            let m = measure_chain(chain, &wl, &cfg.measurement);
-            let mpps = max_throughput_mpps(&m.as_measurement(), &cfg.throughput);
+            let m = measure_chain(chain, &wl, &cfg.measurement).as_measurement();
+            let mpps = max_throughput_mpps(&m, &cfg.throughput);
             cells.insert(wl.kind, (mpps, m.median_cycles()));
         }
         per_chain.push(cells);
@@ -1049,8 +1049,7 @@ pub const XCORE_HOT_LINES: usize = 64;
 /// The neighbour arms of the `xcore-contention` experiment.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum NeighborKind {
-    /// The attacker core idles — the baseline (byte-identical to a plain
-    /// `ShardedDut` run under the same deployment, pinned by tests).
+    /// The attacker core idles — the baseline (no replay installed).
     NoAttacker,
     /// The attacker replays uniformly random lines of its own address
     /// window at the same rate as the planned replay — the equal-rate
@@ -1115,6 +1114,32 @@ fn in_core_regions(chain: &NfChain, core: usize, line: u64) -> bool {
     })
 }
 
+/// Boots the noisy-neighbour deployment: premapped pages (so the plan's
+/// oracle predicts this DUT's buckets) and victim traffic on every core but
+/// `attacker`; no replay installed.
+fn noisy_neighbor_dut(
+    chain: &NfChain,
+    cores: usize,
+    attacker: usize,
+    cfg: &ExperimentConfig,
+) -> ShardedDut {
+    let shard = ShardConfig::new(cores).with_premapped_pages();
+    let mut dut = ShardedDut::new(chain.clone(), shard, &cfg.measurement);
+    dut.set_boot_table(Some(victim_table(&shard.rss, attacker)));
+    dut
+}
+
+/// L3 misses per measured packet, both taken over every core's measured
+/// packets: with 5-tuple traffic the attacker core serves none, so this is
+/// the victims' ratio; a non-flow packet bypasses the indirection table
+/// onto queue 0 whoever owns it, and then counts on both sides.
+fn l3_misses_per_packet(m: &ShardedMeasurement) -> f64 {
+    match m.measured_packets() {
+        0 => 0.0,
+        packets => m.aggregate_counters().l3_misses as f64 / packets as f64,
+    }
+}
+
 /// Profiles every victim core under the noisy-neighbour deployment (one
 /// run — the striped windows keep per-core heat unambiguous) and builds
 /// the ranked eviction plan against the premapped ground-truth oracle
@@ -1132,10 +1157,9 @@ pub fn xcore_eviction_plan(
 ) -> EvictionPlan {
     let attacker = cores - 1;
     let victims = cores - 1;
-    let shard = ShardConfig::new(cores).with_premapped_pages();
-    let mut profiler = NoisyNeighborDut::new(chain.clone(), shard, attacker, &cfg.measurement);
+    let mut profiler = noisy_neighbor_dut(chain, cores, attacker, cfg);
     let heat: Vec<(u64, u64)> = profiler
-        .profile_victim_heat(victim_wl, &cfg.measurement)
+        .profile_heat_all(victim_wl, &cfg.measurement)
         .into_iter()
         // Only lines of the victims' own stage state are plannable: the
         // oracle premaps exactly the deployment's data regions, and
@@ -1176,7 +1200,6 @@ pub fn xcore_contention_data_for(chains: &[NfChain], cfg: &ExperimentConfig) -> 
         let victim_wl = generic_chain_workload(chain, WorkloadKind::Zipfian, &wl_cfg);
         for &cores in &XCORE_CORE_COUNTS {
             let attacker = cores - 1;
-            let shard = ShardConfig::new(cores).with_premapped_pages();
             let plan = xcore_eviction_plan(chain, &victim_wl, cores, cfg);
             let replay = plan.replay_lines();
             // Equal rate by construction: the random control replays
@@ -1186,29 +1209,30 @@ pub fn xcore_contention_data_for(chains: &[NfChain], cfg: &ExperimentConfig) -> 
             // of the control silently out-touching the plan).
             let rate = replay.len();
             for kind in NeighborKind::ALL {
-                let mut dut =
-                    NoisyNeighborDut::new(chain.clone(), shard, attacker, &cfg.measurement);
-                match kind {
-                    NeighborKind::NoAttacker => {}
-                    NeighborKind::RandomNeighbor => dut.set_replay(
-                        random_neighbor_lines(
-                            chain,
-                            attacker,
-                            replay.len(),
-                            cfg.measurement.seed ^ 0x5EED,
-                        ),
-                        rate,
-                    ),
-                    NeighborKind::PlannedEviction => dut.set_replay(replay.clone(), rate),
-                }
+                let lines = match kind {
+                    NeighborKind::NoAttacker => None,
+                    NeighborKind::RandomNeighbor => Some(random_neighbor_lines(
+                        chain,
+                        attacker,
+                        replay.len(),
+                        cfg.measurement.seed ^ 0x5EED,
+                    )),
+                    NeighborKind::PlannedEviction => Some(replay.clone()),
+                };
+                let mut dut = noisy_neighbor_dut(chain, cores, attacker, cfg);
+                dut.set_neighbor(lines.map(|lines| NeighborReplay {
+                    attacker_core: attacker,
+                    lines,
+                    lines_per_batch: rate,
+                }));
                 let m = dut.run(&victim_wl, &cfg.measurement);
                 cells.push(XCoreCell {
                     chain: chain.name().to_string(),
                     cores,
                     neighbor: kind,
-                    victim_mpps: m.sharded.aggregate_mpps(),
-                    victim_misses_per_packet: m.victim_l3_misses_per_packet(),
-                    attacker_touches: m.attacker_touches,
+                    victim_mpps: m.aggregate_mpps(),
+                    victim_misses_per_packet: l3_misses_per_packet(&m),
+                    attacker_touches: dut.neighbor_cost().0,
                     plan_buckets: plan.len(),
                     plan_lines: replay.len(),
                 });
@@ -2093,11 +2117,7 @@ pub fn detect_json(report: &DetectReport, label: &str) -> String {
 /// returns the rendered tables plus the tables themselves (for the
 /// per-experiment result summaries).
 pub fn detect(cfg: &ExperimentConfig, label: &str) -> (String, Vec<Table>) {
-    let chain = castan_chain::chain_by_id(castan_chain::ChainId::NatLpm);
-    let report = detect_data_for(&chain, cfg);
-    let arms = detect_table(&report);
-    let roc = detect_roc_table(&report);
-    let json = detect_json(&report, label);
+    let (json, arms, roc) = detect_docs(cfg, label);
     std::fs::write(TELEMETRY_DETECT_PATH, &json).expect("write TELEMETRY_detect.json");
     (
         format!(
@@ -2106,6 +2126,18 @@ pub fn detect(cfg: &ExperimentConfig, label: &str) -> (String, Vec<Table>) {
             roc.render()
         ),
         vec![arms, roc],
+    )
+}
+
+/// Runs the `detect` experiment and builds its document (without writing
+/// it) and its two tables.
+fn detect_docs(cfg: &ExperimentConfig, label: &str) -> (String, Table, Table) {
+    let chain = castan_chain::chain_by_id(castan_chain::ChainId::NatLpm);
+    let report = detect_data_for(&chain, cfg);
+    (
+        detect_json(&report, label),
+        detect_table(&report),
+        detect_roc_table(&report),
     )
 }
 
@@ -2123,7 +2155,7 @@ pub const ENGINE_SCALING_THREADS: [usize; 3] = [1, 2, 4];
 pub const BENCH_CLUSTER_PATH: &str =
     concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_cluster.json");
 
-/// Relative tolerance of the [`bench_drift`] check: simulated figures are
+/// Relative tolerance of the `bench-drift` gate ([`drift_gate`]): simulated figures are
 /// deterministic, so any drift beyond float-rendering noise means the
 /// model changed.
 pub const BENCH_DRIFT_TOLERANCE: f64 = 0.01;
@@ -2319,83 +2351,150 @@ pub fn bench_baselines(cfg: &ExperimentConfig, label: &str) -> (String, Vec<Tabl
     )
 }
 
-/// Compares two `castan-bench-*` documents on their numeric surface:
-/// every field whose relative deviation exceeds
-/// [`BENCH_DRIFT_TOLERANCE`] produces one readable line (host-dependent
-/// `*_wall_ms` fields are skipped). `Err` means a document failed to
+/// Compares a regenerated baseline document against the committed one at
+/// `path` on their numeric surface: one readable line per field that is
+/// missing on either side or whose relative deviation exceeds `tolerance`.
+/// Fields ending in `skip_suffix` are host-dependent and not compared. A
+/// `tolerance` of zero is the exact gate: the values must be equal and the
+/// documents must also agree textually, so a schema or key-layout change
+/// cannot hide behind equal numbers. `Err` means a document failed to
 /// parse.
-pub fn drift_lines(committed: &str, regenerated: &str) -> Result<Vec<String>, String> {
-    let old: BTreeMap<String, f64> = castan_telemetry::json::numeric_fields(committed)?
-        .into_iter()
-        .collect();
-    let new: BTreeMap<String, f64> = castan_telemetry::json::numeric_fields(regenerated)?
-        .into_iter()
-        .collect();
+pub fn drift(
+    path: &str,
+    committed: &str,
+    regenerated: &str,
+    tolerance: f64,
+    skip_suffix: Option<&str>,
+) -> Result<Vec<String>, String> {
+    let fields = |doc: &str, which: &str| -> Result<BTreeMap<String, f64>, String> {
+        Ok(castan_telemetry::json::numeric_fields(doc)
+            .map_err(|e| format!("{path} ({which}): {e}"))?
+            .into_iter()
+            .filter(|(key, _)| !skip_suffix.is_some_and(|s| key.ends_with(s)))
+            .collect())
+    };
+    let old = fields(committed, "committed")?;
+    let new = fields(regenerated, "regenerated")?;
     let mut lines = Vec::new();
     for (key, committed_v) in &old {
-        if key.ends_with("_wall_ms") {
-            continue;
-        }
         match new.get(key) {
             None => lines.push(format!(
-                "{key}: committed {committed_v}, missing on regenerate"
+                "{path}: {key}: committed {committed_v}, missing on regenerate"
             )),
             Some(new_v) => {
                 let rel = (new_v - committed_v).abs() / committed_v.abs().max(1e-9);
-                if rel > BENCH_DRIFT_TOLERANCE {
+                if rel > tolerance {
                     lines.push(format!(
-                        "{key}: committed {committed_v}, regenerated {new_v} \
+                        "{path}: {key}: committed {committed_v}, regenerated {new_v} \
                          ({:+.2}% > {:.0}% tolerance)",
                         (new_v / committed_v - 1.0) * 100.0,
-                        BENCH_DRIFT_TOLERANCE * 100.0
+                        tolerance * 100.0
                     ));
                 }
             }
         }
     }
-    for key in new.keys() {
-        if !key.ends_with("_wall_ms") && !old.contains_key(key) {
-            lines.push(format!(
-                "{key}: regenerated but not in the committed baseline"
-            ));
-        }
+    for key in new.keys().filter(|k| !old.contains_key(*k)) {
+        lines.push(format!(
+            "{path}: {key}: regenerated but not in the committed baseline"
+        ));
+    }
+    if tolerance == 0.0 && lines.is_empty() && committed != regenerated {
+        lines.push(format!(
+            "{path}: documents differ textually (schema or key layout changed)"
+        ));
     }
     Ok(lines)
 }
 
-/// The `bench-drift` check: regenerates the perf baselines in memory and
-/// compares their numeric surface against the committed
-/// `BENCH_hotpath.json` / `BENCH_cluster.json`. `Ok` is a one-line
-/// confirmation; `Err` is a readable per-field diff (the CI job fails on
-/// it). Run with `--quick` — the committed artifacts are quick-config.
-pub fn bench_drift(cfg: &ExperimentConfig) -> Result<String, String> {
-    let (hotpath, cluster, _) = bench_docs(cfg, "quick");
-    let mut drift = Vec::new();
+/// The drift gates, by sub-command name: each regenerates one experiment's
+/// committed baseline(s) in memory and compares with [`drift`].
+pub const DRIFT_GATES: [&str; 4] = [
+    "bench-drift",
+    "analysis-drift",
+    "trace-drift",
+    "detect-drift",
+];
+
+/// Runs one of the [`DRIFT_GATES`]. `Ok` is a one-line confirmation; `Err`
+/// is a readable per-field diff (the CI job fails on it).
+///
+/// * `bench-drift` — `BENCH_hotpath.json` / `BENCH_cluster.json` within
+///   [`BENCH_DRIFT_TOLERANCE`], `*_wall_ms` skipped. Run with `--quick`:
+///   the committed artifacts are quick-config.
+/// * `analysis-drift` — `ANALYSIS_envelopes.json`, exact: the envelopes are
+///   deterministic integer arithmetic, there is no tolerance to hide
+///   behind.
+/// * `trace-drift` — `TRACE_search.json`, exact: the counters are
+///   deterministic and thread-count-invariant, and wall-clock never enters
+///   the baseline in the first place.
+/// * `detect-drift` — `TELEMETRY_detect.json`, exact. Run with `--quick`,
+///   like `bench-drift`.
+pub fn drift_gate(gate: &str, cfg: &ExperimentConfig) -> Result<String, String> {
+    // What the baseline holds, the experiment that rewrites it, the
+    // comparison, and each committed file with its regenerated document.
+    let (what, experiment, tolerance, skip_suffix, docs) = match gate {
+        "bench-drift" => {
+            let (hotpath, cluster, _) = bench_docs(cfg, "quick");
+            (
+                "bench baselines",
+                "--quick bench-baselines",
+                BENCH_DRIFT_TOLERANCE,
+                Some("_wall_ms"),
+                vec![(BENCH_HOTPATH_PATH, hotpath), (BENCH_CLUSTER_PATH, cluster)],
+            )
+        }
+        "analysis-drift" => (
+            "static envelopes",
+            "analysis",
+            0.0,
+            None,
+            vec![(ANALYSIS_ENVELOPES_PATH, analysis_docs().0)],
+        ),
+        "trace-drift" => (
+            "search-trace counters",
+            "--quick search-profile",
+            0.0,
+            None,
+            vec![(TRACE_SEARCH_PATH, search_profile_docs().0)],
+        ),
+        "detect-drift" => (
+            "detection signals",
+            "--quick detect",
+            0.0,
+            None,
+            vec![(TELEMETRY_DETECT_PATH, detect_docs(cfg, "quick").0)],
+        ),
+        other => return Err(format!("unknown drift gate: {other}")),
+    };
+    let mut lines = Vec::new();
     let mut checked = 0usize;
-    for (path, regenerated) in [
-        (BENCH_HOTPATH_PATH, &hotpath),
-        (BENCH_CLUSTER_PATH, &cluster),
-    ] {
+    for (path, regenerated) in &docs {
         let committed = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-        let lines = drift_lines(&committed, regenerated).map_err(|e| format!("{path}: {e}"))?;
-        checked += castan_telemetry::json::numeric_fields(&committed)
-            .map(|f| f.len())
-            .unwrap_or(0);
-        drift.extend(lines.into_iter().map(|l| format!("{path}: {l}")));
+        lines.extend(drift(
+            path,
+            &committed,
+            regenerated,
+            tolerance,
+            skip_suffix,
+        )?);
+        checked += castan_telemetry::json::numeric_fields(&committed).map_or(0, |f| f.len());
     }
-    if drift.is_empty() {
+    if lines.is_empty() {
         Ok(format!(
-            "bench baselines match the committed artifacts \
-             ({checked} numeric fields within {:.0}%)",
-            BENCH_DRIFT_TOLERANCE * 100.0
+            "{what} match the committed baseline ({checked} numeric fields, {})",
+            if tolerance == 0.0 {
+                "exact".to_string()
+            } else {
+                format!("within {:.0}%", tolerance * 100.0)
+            }
         ))
     } else {
         Err(format!(
-            "bench baselines drifted from the committed artifacts — if the \
-             model change is intentional, regenerate with `cargo run -p \
-             castan-experiments --release -- --quick bench-baselines` and \
-             commit the result:\n{}",
-            drift.join("\n")
+            "{what} drifted from the committed baseline — if the change is \
+             intentional, regenerate with `cargo run -p castan-experiments \
+             --release -- {experiment}` and commit the result:\n{}",
+            lines.join("\n")
         ))
     }
 }
@@ -2513,59 +2612,6 @@ pub fn analysis_envelopes(label: &str) -> (String, Vec<Table>) {
     )
 }
 
-/// The `analysis-drift` check: recomputes the envelope table in memory and
-/// compares it against the committed `ANALYSIS_envelopes.json`, field by
-/// field with **exact** integer equality (the envelopes are deterministic
-/// integer arithmetic; there is no tolerance to hide behind). `Ok` is a
-/// one-line confirmation; `Err` is a readable per-field diff the CI job
-/// fails on.
-pub fn analysis_drift() -> Result<String, String> {
-    let (regenerated, _) = analysis_docs();
-    let path = ANALYSIS_ENVELOPES_PATH;
-    let committed = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    let old: BTreeMap<String, f64> = castan_telemetry::json::numeric_fields(&committed)
-        .map_err(|e| format!("{path}: {e}"))?
-        .into_iter()
-        .collect();
-    let new: BTreeMap<String, f64> = castan_telemetry::json::numeric_fields(&regenerated)
-        .map_err(|e| format!("regenerated document: {e}"))?
-        .into_iter()
-        .collect();
-    let mut drift = Vec::new();
-    for (key, committed_v) in &old {
-        match new.get(key) {
-            None => drift.push(format!(
-                "{key}: committed {committed_v}, missing on regenerate"
-            )),
-            Some(new_v) if new_v != committed_v => drift.push(format!(
-                "{key}: committed {committed_v}, regenerated {new_v}"
-            )),
-            Some(_) => {}
-        }
-    }
-    for key in new.keys() {
-        if !old.contains_key(key) {
-            drift.push(format!("{key}: regenerated but not in the committed table"));
-        }
-    }
-    if drift.is_empty() && committed != regenerated {
-        drift.push("documents differ textually (schema or key layout changed)".to_string());
-    }
-    if drift.is_empty() {
-        Ok(format!(
-            "static envelopes match the committed table ({} integer fields, exact)",
-            old.len()
-        ))
-    } else {
-        Err(format!(
-            "static envelopes drifted from the committed table — if the cost-model \
-             change is intentional, regenerate with `cargo run -p castan-experiments \
-             --release -- analysis` and commit the result:\n{}",
-            drift.join("\n")
-        ))
-    }
-}
-
 /// Repo-root path of the deterministic search-counter baseline the
 /// `search-profile` experiment writes (and `trace-drift` gates).
 pub const TRACE_SEARCH_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../TRACE_search.json");
@@ -2580,7 +2626,7 @@ pub const SEARCH_PROFILE_TRACE_PATH: &str = concat!(
 
 /// The fixed analysis configuration of the `search-profile` experiment.
 ///
-/// Deliberately config-independent (like [`analysis_docs`]): the committed
+/// Deliberately config-independent (like the `analysis` table): the committed
 /// `TRACE_search.json` must regenerate identically whether CI runs
 /// `--quick` or full and at any `--threads` value, so the canonical
 /// profile pins its own packets/budget and one worker thread (the
@@ -2733,63 +2779,6 @@ pub fn search_profile(_cfg: &ExperimentConfig, label: &str) -> (String, Vec<Tabl
     )
 }
 
-/// The `trace-drift` check: re-profiles the search in memory and compares
-/// the deterministic counters against the committed `TRACE_search.json`,
-/// field by field with **exact** equality — the counters are deterministic
-/// and thread-count-invariant, so there is no tolerance to hide behind
-/// (wall-clock never enters the baseline in the first place). `Ok` is a
-/// one-line confirmation; `Err` is a readable per-field diff the CI job
-/// fails on.
-pub fn trace_drift() -> Result<String, String> {
-    let (regenerated, _, _) = search_profile_docs();
-    let path = TRACE_SEARCH_PATH;
-    let committed = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    let old: BTreeMap<String, f64> = castan_telemetry::json::numeric_fields(&committed)
-        .map_err(|e| format!("{path}: {e}"))?
-        .into_iter()
-        .collect();
-    let new: BTreeMap<String, f64> = castan_telemetry::json::numeric_fields(&regenerated)
-        .map_err(|e| format!("regenerated document: {e}"))?
-        .into_iter()
-        .collect();
-    let mut drift = Vec::new();
-    for (key, committed_v) in &old {
-        match new.get(key) {
-            None => drift.push(format!(
-                "{key}: committed {committed_v}, missing on regenerate"
-            )),
-            Some(new_v) if new_v != committed_v => drift.push(format!(
-                "{key}: committed {committed_v}, regenerated {new_v}"
-            )),
-            Some(_) => {}
-        }
-    }
-    for key in new.keys() {
-        if !old.contains_key(key) {
-            drift.push(format!(
-                "{key}: regenerated but not in the committed baseline"
-            ));
-        }
-    }
-    if drift.is_empty() && committed != regenerated {
-        drift.push("documents differ textually (schema or key layout changed)".to_string());
-    }
-    if drift.is_empty() {
-        Ok(format!(
-            "search-trace counters match the committed baseline ({} fields, exact)",
-            old.len()
-        ))
-    } else {
-        Err(format!(
-            "search-trace counters drifted from the committed baseline — if the \
-             engine change is intentional, regenerate with `cargo run -p \
-             castan-experiments --release -- --quick search-profile` and commit \
-             the result:\n{}",
-            drift.join("\n")
-        ))
-    }
-}
-
 /// Ablation: the potential-cost loop bound M (§3.4) — predicted worst-case
 /// cycles per packet of the trie LPM analysis under M = 1, 2, 3.
 pub fn ablation_loop_bound(cfg: &ExperimentConfig) -> Table {
@@ -2901,7 +2890,7 @@ mod tests {
         assert!(report.packets.len() >= 4);
         let measure_kind = |kind: WorkloadKind| {
             let wl = suite.iter().find(|w| w.kind == kind).unwrap();
-            measure_chain(&chain, wl, &cfg.measurement)
+            measure_chain(&chain, wl, &cfg.measurement).as_measurement()
         };
         let zipf = measure_kind(WorkloadKind::Zipfian);
         let castan = measure_kind(WorkloadKind::Castan);
@@ -2911,8 +2900,8 @@ mod tests {
             castan.median_cycles(),
             zipf.median_cycles()
         );
-        let tp_zipf = max_throughput_mpps(&zipf.as_measurement(), &cfg.throughput);
-        let tp_castan = max_throughput_mpps(&castan.as_measurement(), &cfg.throughput);
+        let tp_zipf = max_throughput_mpps(&zipf, &cfg.throughput);
+        let tp_castan = max_throughput_mpps(&castan, &cfg.throughput);
         assert!(
             tp_castan < tp_zipf,
             "CASTAN {tp_castan:.2} Mpps must be below Zipfian {tp_zipf:.2} Mpps"
@@ -3141,32 +3130,6 @@ mod tests {
     }
 
     #[test]
-    fn rss_mitigation_no_mitigation_path_is_byte_identical_to_the_chain_dut() {
-        // Acceptance bar: the no-mitigation 1-core path of the experiment's
-        // DUT stays byte-identical to the single-core chained DUT — the
-        // mitigation subsystem must not perturb the measurement pipeline it
-        // extends.
-        let chain = castan_chain::chain_by_id(castan_chain::ChainId::NatLpm);
-        let cfg = tiny_cfg();
-        let wl = generic_chain_workload(
-            &chain,
-            WorkloadKind::Zipfian,
-            &WorkloadConfig::scaled(cfg.workload_scale),
-        );
-        let single = measure_chain(&chain, &wl, &cfg.measurement);
-        let sharded = measure_sharded(&chain, ShardConfig::unbatched(1), &wl, &cfg.measurement);
-        assert_eq!(sharded.per_core[0].end_to_end, single.end_to_end);
-        assert_eq!(sharded.per_core[0].latency_ns, single.latency_ns);
-        assert_eq!(sharded.per_core[0].service_ns, single.service_ns);
-        assert_eq!(sharded.per_core[0].dropped, single.dropped);
-        assert_eq!(
-            sharded.table_history,
-            vec![vec![0u32; sharded.table_history[0].len()]],
-            "no mitigation: the boot table is the whole history"
-        );
-    }
-
-    #[test]
     fn rss_mitigation_table_covers_the_matrix() {
         let chains = vec![castan_chain::chain_by_id(castan_chain::ChainId::Nop3)];
         let t = rss_mitigation_for(&chains, &tiny_cfg());
@@ -3243,41 +3206,35 @@ mod tests {
     }
 
     #[test]
-    fn xcore_no_attacker_arm_is_byte_identical_to_the_sharded_dut() {
-        // Acceptance bar: the experiment's no-attacker arm must be
-        // byte-identical to a plain ShardedDut run under the same
-        // deployment (premapped pages, attacker core excluded from RSS) —
-        // the replay machinery must not perturb the measurement pipeline
-        // it extends.
-        use castan_testbed::{victim_table, ShardedDut};
+    fn xcore_miss_ratio_counts_the_same_packets_on_both_sides() {
+        // A packet without a flow key (ICMP) bypasses the indirection table
+        // onto queue 0 — here the attacker's. It is a measured packet, so
+        // its misses belong in the numerator too: dividing only the other
+        // cores' misses by every core's packets under-reports the ratio.
+        use castan_packet::{IpProto, PacketBuilder};
         let cfg = tiny_cfg();
         let chain = castan_chain::chain_by_id(castan_chain::ChainId::NatLpm);
-        let wl = generic_chain_workload(
+        let mut wl = generic_chain_workload(
             &chain,
             WorkloadKind::Zipfian,
             &WorkloadConfig::scaled(cfg.workload_scale),
         );
-        let cores = 2;
-        let attacker = cores - 1;
-        let shard = ShardConfig::new(cores).with_premapped_pages();
-
-        let mut plain = ShardedDut::new(chain.clone(), shard, &cfg.measurement);
-        plain.set_boot_table(Some(victim_table(&shard.rss, attacker)));
-        let reference = plain.run(&wl, &cfg.measurement);
-
-        let mut noisy = NoisyNeighborDut::new(chain, shard, attacker, &cfg.measurement);
-        let arm = noisy.run(&wl, &cfg.measurement);
-        assert_eq!(arm.attacker_touches, 0);
-        for (c, (a, b)) in reference
-            .per_core
-            .iter()
-            .zip(&arm.sharded.per_core)
-            .enumerate()
-        {
-            assert_eq!(a.end_to_end, b.end_to_end, "core {c} counters");
-            assert_eq!(a.latency_ns, b.latency_ns, "core {c} latencies");
-            assert_eq!(a.mem, b.mem, "core {c} hierarchy view");
-        }
+        let icmp = PacketBuilder::new().proto(IpProto::Icmp).build();
+        assert!(icmp.flow().is_none());
+        wl.packets.push(icmp);
+        let attacker = 0;
+        let m = noisy_neighbor_dut(&chain, 2, attacker, &cfg).run(&wl, &cfg.measurement);
+        let on_attacker = &m.per_core[attacker];
+        assert!(on_attacker.packets() > 0, "the ICMP packet was measured");
+        let misses = |core: &castan_testbed::CoreMeasurement| -> u64 {
+            core.end_to_end.iter().map(|c| c.l3_misses).sum()
+        };
+        assert!(misses(on_attacker) > 0);
+        let all: u64 = m.per_core.iter().map(misses).sum();
+        assert_eq!(
+            l3_misses_per_packet(&m),
+            all as f64 / m.measured_packets() as f64
+        );
     }
 
     /// `tiny_cfg` with a longer trace for the fleet sweeps: the 2→4-node
@@ -3573,7 +3530,16 @@ mod tests {
     }
 
     #[test]
-    fn drift_lines_flags_value_changes_and_ignores_wall_clock() {
+    fn drift_flags_value_changes_and_ignores_wall_clock() {
+        let drift_lines = |committed: &str, regenerated: &str| {
+            drift(
+                "doc.json",
+                committed,
+                regenerated,
+                BENCH_DRIFT_TOLERANCE,
+                Some("_wall_ms"),
+            )
+        };
         let committed = "{\n  \"a\": 1.0,\n  \"nested\": {\n    \"b\": 2.0,\n    \"synthesis_wall_ms\": 100\n  }\n}\n";
         assert_eq!(
             drift_lines(committed, committed).unwrap(),
@@ -3584,7 +3550,7 @@ mod tests {
         let drifted = "{\n  \"a\": 1.05,\n  \"nested\": {\n    \"b\": 2.0,\n    \"synthesis_wall_ms\": 900\n  }\n}\n";
         let lines = drift_lines(committed, drifted).unwrap();
         assert_eq!(lines.len(), 1, "{lines:?}");
-        assert!(lines[0].starts_with("a:"), "{}", lines[0]);
+        assert!(lines[0].starts_with("doc.json: a:"), "{}", lines[0]);
         // A field missing on either side is reported.
         let missing = "{\n  \"a\": 1.0\n}\n";
         assert!(drift_lines(committed, missing)
@@ -3595,6 +3561,15 @@ mod tests {
             .unwrap()
             .iter()
             .any(|l| l.contains("not in the committed baseline")));
+        // The exact gate takes neither a small drift, nor a wall-clock
+        // field, nor equal numbers under a different layout.
+        let exact = |regenerated: &str| drift("doc.json", committed, regenerated, 0.0, None);
+        assert_eq!(exact(committed).unwrap(), Vec::<String>::new());
+        let nudged = committed.replace("2.0", "2.001");
+        assert_eq!(exact(&nudged).unwrap().len(), 1);
+        assert_eq!(exact(drifted).unwrap().len(), 2);
+        let relaid = committed.replace("\n", "");
+        assert!(exact(&relaid).unwrap()[0].contains("differ textually"));
     }
 
     #[test]

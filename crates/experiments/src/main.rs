@@ -25,21 +25,20 @@
 //! (the committed deterministic search-counter baseline) plus a
 //! chrome-trace span file under `results/`.
 //!
-//! `bench-drift` (not part of `all`) regenerates the perf baselines and
-//! exits non-zero with a per-field diff if they drifted from the
-//! committed artifacts; run it with `--quick`, the committed config.
-//! `analysis-drift` (also not part of `all`) does the same for the static
-//! envelope table, with exact integer comparison — the envelopes are
-//! config-independent, so either `--quick` or full works. `trace-drift`
-//! gates `TRACE_search.json` the same way (exact match; the profile pins
-//! its own analysis config, so any flag combination regenerates the same
-//! counters).
+//! The drift gates (not part of `all`) regenerate a committed baseline in
+//! memory and exit non-zero with a per-field diff if it drifted:
+//! `bench-drift` the perf baselines (1 %, `*_wall_ms` skipped; run it with
+//! `--quick`, the committed config), `analysis-drift` the static envelope
+//! table (exact; config-independent, so either `--quick` or full works),
+//! `trace-drift` `TRACE_search.json` (exact; the profile pins its own
+//! analysis config, so any flag combination regenerates the same counters)
+//! and `detect-drift` `TELEMETRY_detect.json` (exact; `--quick`).
 
 use castan_experiments::{
-    ablation_cache_model, ablation_loop_bound, analysis_drift, analysis_envelopes, bench_baselines,
-    bench_drift, chain_table, cluster_skew, detect, figure, figure_catalog, rss_mitigation,
-    rss_scaling, search_profile, table4, table5, throughput_and_counters_table, trace_drift,
-    xcore_contention, ExperimentConfig, Table,
+    ablation_cache_model, ablation_loop_bound, analysis_envelopes, bench_baselines, chain_table,
+    cluster_skew, detect, drift_gate, figure, figure_catalog, rss_mitigation, rss_scaling,
+    search_profile, table4, table5, throughput_and_counters_table, xcore_contention,
+    ExperimentConfig, Table, DRIFT_GATES,
 };
 
 /// Repo-root directory the per-experiment result summaries are written to
@@ -69,8 +68,9 @@ fn valid_experiments() -> Vec<String> {
 
 fn usage_and_exit() -> ! {
     eprintln!(
-        "usage: castan-experiments [--quick] [--threads=N] <experiment>...\nexperiments: {} | all | bench-drift | analysis-drift | trace-drift",
-        valid_experiments().join(" | ")
+        "usage: castan-experiments [--quick] [--threads=N] <experiment>...\nexperiments: {} | all | {}",
+        valid_experiments().join(" | "),
+        DRIFT_GATES.join(" | ")
     );
     std::process::exit(2);
 }
@@ -107,11 +107,7 @@ fn main() {
     for r in requested {
         if r == "all" {
             targets.extend(valid.iter().cloned());
-        } else if valid.contains(&r)
-            || r == "bench-drift"
-            || r == "analysis-drift"
-            || r == "trace-drift"
-        {
+        } else if valid.contains(&r) || DRIFT_GATES.contains(&r.as_str()) {
             targets.push(r);
         } else {
             eprintln!("unknown experiment: {r}");
@@ -138,21 +134,7 @@ fn main() {
             "bench-baselines" => bench_baselines(&cfg, label),
             "analysis" => analysis_envelopes(label),
             "search-profile" => search_profile(&cfg, label),
-            "bench-drift" => match bench_drift(&cfg) {
-                Ok(summary) => (summary, Vec::new()),
-                Err(diff) => {
-                    eprintln!("{diff}");
-                    std::process::exit(1);
-                }
-            },
-            "analysis-drift" => match analysis_drift() {
-                Ok(summary) => (summary, Vec::new()),
-                Err(diff) => {
-                    eprintln!("{diff}");
-                    std::process::exit(1);
-                }
-            },
-            "trace-drift" => match trace_drift() {
+            gate if DRIFT_GATES.contains(&gate) => match drift_gate(gate, &cfg) {
                 Ok(summary) => (summary, Vec::new()),
                 Err(diff) => {
                     eprintln!("{diff}");

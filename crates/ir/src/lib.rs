@@ -19,7 +19,7 @@
 //!   operations that are executed concretely even under analysis (the same
 //!   role external/unanalyzed library calls play for KLEE);
 //! * branches and returns, from which an interprocedural control-flow graph
-//!   is extracted ([`cfg`]) for the §3.4 potential-cost annotation.
+//!   is extracted ([`mod@cfg`]) for the §3.4 potential-cost annotation.
 //!
 //! The same IR program is executed two ways: concretely by [`interp`] inside
 //! the simulated testbed (to measure latency, cycles, instructions and L3

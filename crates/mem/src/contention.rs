@@ -19,10 +19,19 @@
 //! yields *consistent* contention sets that survive address-space changes —
 //! exactly the paper's §3.2 post-processing.
 //!
-//! The module also provides [`ContentionCatalog::from_ground_truth`], which
-//! reads the simulator's actual (slice, set) mapping. It serves two roles:
-//! a fast path for large experiments, and the oracle against which the
-//! discovery procedure's accuracy is tested.
+//! The probe loop runs on a chosen *prober core* of a
+//! [`MultiCoreHierarchy`], and the candidate pool may span several cores'
+//! striped address windows: the L3 is shared and physically indexed, so the
+//! (slice, set) bucket of a line does not depend on which core touches it.
+//! The paper's single-core procedure is prober 0 of a one-core hierarchy
+//! ([`MemoryHierarchy::multicore_mut`]); `castan-xcore` probes from an
+//! attacker core next to its victims.
+//!
+//! The module also provides [`ground_truth_catalog_on`] (and its one-core
+//! form [`ContentionCatalog::from_ground_truth`]), which reads the
+//! simulator's actual (slice, set) mapping. It serves two roles: a fast
+//! path for large experiments, and the oracle against which the discovery
+//! procedure's accuracy is tested.
 
 use std::collections::HashMap;
 
@@ -32,6 +41,7 @@ use rand::SeedableRng;
 
 use crate::hierarchy::MemoryHierarchy;
 use crate::line_of;
+use crate::multicore::MultiCoreHierarchy;
 use crate::probe::{contention_threshold, probing_time, ProbeConfig};
 
 /// One contention set: virtual line addresses that collide in the L3.
@@ -77,40 +87,12 @@ impl ContentionCatalog {
         }
     }
 
-    /// Builds the ground-truth catalogue for the given candidate lines by
-    /// asking the simulator for each line's (slice, set) bucket.
-    ///
-    /// Not available to a real attacker; used as the experiments' fast path
-    /// and as the oracle for validating [`discover_catalog`].
+    /// [`ground_truth_catalog_on`] for the single-core hierarchy.
     pub fn from_ground_truth(
         hier: &mut MemoryHierarchy,
         lines: impl IntoIterator<Item = u64>,
     ) -> Self {
-        let alpha = hier.l3_associativity();
-        let mut buckets: HashMap<(u32, u64), Vec<u64>> = HashMap::new();
-        for l in lines {
-            let l = line_of(l);
-            let bucket = hier.ground_truth_bucket(l);
-            let v = buckets.entry(bucket).or_default();
-            if v.last() != Some(&l) {
-                v.push(l);
-            }
-        }
-        let mut sets: Vec<ContentionSet> = buckets
-            .into_values()
-            .map(|mut lines| {
-                lines.sort_unstable();
-                lines.dedup();
-                ContentionSet { lines }
-            })
-            .collect();
-        sets.sort_by(|a, b| {
-            b.lines
-                .len()
-                .cmp(&a.lines.len())
-                .then(a.lines.cmp(&b.lines))
-        });
-        Self::from_sets(sets, alpha)
+        ground_truth_catalog_on(hier.multicore_mut(), lines)
     }
 
     /// All contention sets, largest first.
@@ -188,17 +170,58 @@ impl Default for DiscoveryConfig {
     }
 }
 
-fn crossing_threshold(hier: &MemoryHierarchy, cfg: &DiscoveryConfig) -> u64 {
-    cfg.crossing_threshold
-        .unwrap_or_else(|| u64::from(hier.l3_associativity()) * contention_threshold(hier) / 2)
+/// Builds the ground-truth catalogue for the given candidate lines by
+/// asking the simulator for each line's (slice, set) bucket. The candidates
+/// may span any number of cores' address windows; the bucket of a line does
+/// not depend on which core accesses it.
+///
+/// Not available to a real attacker; used as the experiments' fast path
+/// and as the oracle for validating [`discover_catalog`].
+pub fn ground_truth_catalog_on(
+    hier: &mut MultiCoreHierarchy,
+    lines: impl IntoIterator<Item = u64>,
+) -> ContentionCatalog {
+    let alpha = hier.l3_associativity();
+    let mut buckets: HashMap<(u32, u64), Vec<u64>> = HashMap::new();
+    for l in lines {
+        let l = line_of(l);
+        let bucket = hier.ground_truth_bucket(l);
+        let v = buckets.entry(bucket).or_default();
+        if v.last() != Some(&l) {
+            v.push(l);
+        }
+    }
+    let mut sets: Vec<ContentionSet> = buckets
+        .into_values()
+        .map(|mut lines| {
+            lines.sort_unstable();
+            lines.dedup();
+            ContentionSet { lines }
+        })
+        .collect();
+    sets.sort_by(|a, b| {
+        b.lines
+            .len()
+            .cmp(&a.lines.len())
+            .then(a.lines.cmp(&b.lines))
+    });
+    ContentionCatalog::from_sets(sets, alpha)
 }
 
-/// Discovers **one** contention set among `candidates` (byte addresses),
-/// following the three-step procedure of §3.2. Returns `None` if the
-/// candidates never drive the probing time across the threshold (e.g. too
-/// few candidates per set).
+fn crossing_threshold(hier: &MultiCoreHierarchy, cfg: &DiscoveryConfig) -> u64 {
+    cfg.crossing_threshold.unwrap_or_else(|| {
+        u64::from(hier.l3_associativity()) * contention_threshold(hier.config()) / 2
+    })
+}
+
+/// Discovers **one** contention set among `candidates` (byte addresses,
+/// possibly spanning several cores' address windows), probing from core
+/// `prober` and following the three-step procedure of §3.2. Returns `None`
+/// if the candidates never drive the probing time across the threshold
+/// (e.g. too few candidates per set).
 pub fn discover_contention_set(
-    hier: &mut MemoryHierarchy,
+    hier: &mut MultiCoreHierarchy,
+    prober: usize,
     candidates: &[u64],
     cfg: &DiscoveryConfig,
 ) -> Option<ContentionSet> {
@@ -217,7 +240,7 @@ pub fn discover_contention_set(
     let mut rest_start = order.len();
     for (i, &a) in order.iter().enumerate() {
         s.push(a);
-        let t = probing_time(hier, &s, cfg.probe);
+        let t = probing_time(hier, prober, &s, cfg.probe);
         if !s.is_empty() && t > prev_time + delta_c && s.len() > alpha {
             crossed = true;
             rest_start = i + 1;
@@ -233,11 +256,11 @@ pub fn discover_contention_set(
     let mut idx = 0;
     while idx < s.len() {
         let removed = s.remove(idx);
-        let before = probing_time(hier, &s, cfg.probe);
+        let before = probing_time(hier, prober, &s, cfg.probe);
         // Compare against the probing time with the address present.
         let mut with = s.clone();
         with.insert(idx, removed);
-        let t_with = probing_time(hier, &with, cfg.probe);
+        let t_with = probing_time(hier, prober, &with, cfg.probe);
         if t_with > before + delta_c {
             // Removing it made probing cheap again ⇒ it belongs to C.
             s.insert(idx, removed);
@@ -251,7 +274,7 @@ pub fn discover_contention_set(
 
     // Step 3: classify every remaining candidate by substitution.
     let mut members = s.clone();
-    let baseline = probing_time(hier, &s, cfg.probe);
+    let baseline = probing_time(hier, prober, &s, cfg.probe);
     for &a in &order[rest_start..] {
         if s.contains(&a) {
             continue;
@@ -259,7 +282,7 @@ pub fn discover_contention_set(
         let mut swapped = s.clone();
         let slot = swapped.len() - 1;
         swapped[slot] = a;
-        let t = probing_time(hier, &swapped, cfg.probe);
+        let t = probing_time(hier, prober, &swapped, cfg.probe);
         if t + delta_c > baseline {
             // Probing stayed expensive ⇒ the substitute collides too.
             members.push(a);
@@ -271,10 +294,11 @@ pub fn discover_contention_set(
 }
 
 /// Discovers up to `cfg.max_sets` contention sets among `candidates` for a
-/// single boot, removing each discovered set's members from the candidate
-/// pool before looking for the next one.
+/// single boot, probing from core `prober`, removing each discovered set's
+/// members from the candidate pool before looking for the next one.
 pub fn discover_catalog(
-    hier: &mut MemoryHierarchy,
+    hier: &mut MultiCoreHierarchy,
+    prober: usize,
     candidates: &[u64],
     cfg: &DiscoveryConfig,
 ) -> ContentionCatalog {
@@ -285,7 +309,7 @@ pub fn discover_catalog(
     let mut sets = Vec::new();
     let mut cfg = cfg.clone();
     while sets.len() < cfg.max_sets {
-        match discover_contention_set(hier, &pool, &cfg) {
+        match discover_contention_set(hier, prober, &pool, &cfg) {
             None => break,
             Some(set) => {
                 pool.retain(|a| !set.lines.contains(a));
@@ -353,22 +377,22 @@ mod tests {
     use crate::config::HierarchyConfig;
     use crate::LINE_SIZE;
 
-    fn tiny(boot: u64) -> MemoryHierarchy {
-        MemoryHierarchy::new(HierarchyConfig::tiny_for_tests(), boot)
+    fn tiny(boot: u64) -> MultiCoreHierarchy {
+        MultiCoreHierarchy::new(HierarchyConfig::tiny_for_tests(), boot, 1)
     }
 
     /// Candidate addresses that all share the L3 set-index bits, so the only
     /// unknown is the slice — the situation the discovery procedure is
     /// designed for.
-    fn same_set_candidates(hier: &MemoryHierarchy, n: u64) -> Vec<u64> {
+    fn same_set_candidates(hier: &MultiCoreHierarchy, n: u64) -> Vec<u64> {
         let span = hier.config().l3_slice_geometry().sets() * LINE_SIZE;
         (0..n).map(|i| 0x10_0000 + i * span).collect()
     }
 
     #[test]
     fn ground_truth_groups_by_slice_and_set() {
-        let mut h = tiny(1);
-        let candidates = same_set_candidates(&h, 64);
+        let mut h = MemoryHierarchy::new(HierarchyConfig::tiny_for_tests(), 1);
+        let candidates = same_set_candidates(h.multicore(), 64);
         let cat = ContentionCatalog::from_ground_truth(&mut h, candidates.iter().copied());
         assert!(!cat.is_empty());
         assert_eq!(cat.associativity(), 8);
@@ -391,9 +415,10 @@ mod tests {
     fn discovery_matches_ground_truth() {
         let mut h = tiny(5);
         let candidates = same_set_candidates(&h, 48);
-        let truth = ContentionCatalog::from_ground_truth(&mut h, candidates.iter().copied());
-        let discovered = discover_contention_set(&mut h, &candidates, &DiscoveryConfig::default())
-            .expect("should find a contention set");
+        let truth = ground_truth_catalog_on(&mut h, candidates.iter().copied());
+        let discovered =
+            discover_contention_set(&mut h, 0, &candidates, &DiscoveryConfig::default())
+                .expect("should find a contention set");
         // The discovered set must coincide with one ground-truth bucket.
         let truth_set = truth
             .sets()
@@ -424,7 +449,7 @@ mod tests {
         // Fewer candidates than associativity can never cross the threshold.
         let candidates = same_set_candidates(&h, 6);
         assert!(
-            discover_contention_set(&mut h, &candidates, &DiscoveryConfig::default()).is_none()
+            discover_contention_set(&mut h, 0, &candidates, &DiscoveryConfig::default()).is_none()
         );
     }
 
@@ -432,7 +457,7 @@ mod tests {
     fn full_catalog_covers_both_slices() {
         let mut h = tiny(9);
         let candidates = same_set_candidates(&h, 64);
-        let cat = discover_catalog(&mut h, &candidates, &DiscoveryConfig::default());
+        let cat = discover_catalog(&mut h, 0, &candidates, &DiscoveryConfig::default());
         assert!(!cat.is_empty());
         let covered: usize = cat.sets().iter().map(|s| s.len()).sum();
         assert!(
@@ -450,17 +475,14 @@ mod tests {
         let mut catalogs = Vec::new();
         for boot in [11u64, 22, 33] {
             let mut h = tiny(boot);
-            catalogs.push(ContentionCatalog::from_ground_truth(
-                &mut h,
-                candidates.iter().copied(),
-            ));
+            catalogs.push(ground_truth_catalog_on(&mut h, candidates.iter().copied()));
         }
         let consistent = consistent_catalog(&catalogs);
         assert!(!consistent.is_empty(), "some groups must be boot-invariant");
         // Every consistent group must indeed be a subset of a single
         // ground-truth set in a fresh boot.
         let mut h = tiny(44);
-        let truth = ContentionCatalog::from_ground_truth(&mut h, candidates.iter().copied());
+        let truth = ground_truth_catalog_on(&mut h, candidates.iter().copied());
         for set in consistent.sets() {
             let bucket = truth.set_of(set.lines[0]).unwrap();
             for &l in &set.lines {

@@ -13,7 +13,7 @@
 //! * [`page`] — 1 GiB page translation from virtual to physical addresses;
 //!   remapping the page table models a process restart / machine reboot.
 //! * [`cache`] — set-associative, LRU cache levels.
-//! * [`slice`] — the "proprietary" L3 slice-selection hash. The analysis
+//! * [`mod@slice`] — the "proprietary" L3 slice-selection hash. The analysis
 //!   side of the workspace never reads it; only the simulator does.
 //! * [`hierarchy`] — the full L1d/L2/sliced-L3/DRAM hierarchy with cycle
 //!   accounting and access statistics.
@@ -23,10 +23,14 @@
 //!   one-core instance of this type. Supports canonical page premapping
 //!   (`map_page`) and per-core line-heat profiling (`track_heat`), the
 //!   inputs of `castan-xcore`'s cross-core contention discovery.
-//! * [`probe`] — pointer-chase probing-time measurement.
-//! * [`contention`] — the three-step contention-set discovery algorithm and
-//!   the multi-page / multi-reboot consistency filter, plus a ground-truth
-//!   catalogue builder used as a fast path and as an accuracy oracle.
+//! * [`probe`] — pointer-chase probing-time measurement, from any prober
+//!   core of a [`MultiCoreHierarchy`].
+//! * [`contention`] — the three-step contention-set discovery algorithm
+//!   (the workspace's only one: the paper's single-core procedure is prober
+//!   0 of a one-core hierarchy, `castan-xcore` probes from an attacker
+//!   core) and the multi-page / multi-reboot consistency filter, plus a
+//!   ground-truth catalogue builder used as a fast path and as an accuracy
+//!   oracle.
 //!
 //! Everything here is deterministic given the configured seeds, so tests and
 //! experiments are reproducible.

@@ -8,7 +8,7 @@
 //! catalogue produced by probing.
 //!
 //! Publicly known reverse-engineering results (e.g. Irazoqui et al., cited
-//! as [4] in the paper) show the real hash is *linear over GF(2)*: each
+//! as \[4\] in the paper) show the real hash is *linear over GF(2)*: each
 //! slice-id bit is the XOR (parity) of a fixed subset of physical-address
 //! bits. We model exactly that structure — a seeded random bit-mask per
 //! output bit — because linearity is what makes "consistent" contention sets

@@ -83,7 +83,7 @@ fn boot_fill_offset(config: &RssConfig) -> usize {
 impl RssDispatcher {
     /// Builds a dispatcher with a round-robin indirection table. When the
     /// table size is not a multiple of the queue count, the fill is rotated
-    /// by [`boot_fill_offset`] so the remainder entries land on a
+    /// by `boot_fill_offset` so the remainder entries land on a
     /// config-seeded run of queues rather than always on the first ones.
     pub fn new(config: RssConfig) -> Self {
         assert!(config.n_queues > 0, "need at least one queue");

@@ -1,10 +1,10 @@
-//! The DUT's CPU cost model: an [`ExecSink`] that charges instruction base
-//! costs and routes every data-memory access through the simulated cache
-//! hierarchy, accumulating the per-packet counters the evaluation reports
-//! (reference cycles, instructions retired, L3 misses).
+//! The DUT's CPU cost model: an [`ExecSink`] ([`CoreSink`]) that charges
+//! instruction base costs and routes every data-memory access through the
+//! simulated cache hierarchy, accumulating the per-packet counters the
+//! evaluation reports (reference cycles, instructions retired, L3 misses).
 
 use castan_ir::{CostClass, ExecSink};
-use castan_mem::{AccessKind, MemoryHierarchy, MultiCoreHierarchy};
+use castan_mem::{AccessKind, MultiCoreHierarchy};
 
 /// Per-packet performance counters (what libPAPI reads out in §5.1).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -21,81 +21,22 @@ pub struct PacketCounters {
     pub l3_misses: u64,
 }
 
-/// The CPU model: owns the cache hierarchy and the in-flight counters.
-#[derive(Debug)]
-pub struct CpuModel {
-    hierarchy: MemoryHierarchy,
-    current: PacketCounters,
-}
-
-impl CpuModel {
-    /// Creates a CPU model around a memory hierarchy.
-    pub fn new(hierarchy: MemoryHierarchy) -> Self {
-        CpuModel {
-            hierarchy,
-            current: PacketCounters::default(),
-        }
-    }
-
-    /// Clock frequency in Hz.
-    pub fn clock_hz(&self) -> u64 {
-        self.hierarchy.config().clock_hz
-    }
-
-    /// Starts a new packet: clears the per-packet counters (cache state is
-    /// deliberately retained — that is the whole point of the measurement).
-    pub fn begin_packet(&mut self) {
-        self.current = PacketCounters::default();
-    }
-
-    /// Counters accumulated since `begin_packet`.
-    pub fn packet_counters(&self) -> PacketCounters {
-        self.current
-    }
-
-    /// Flushes the caches (used between workload runs, like rebooting the
-    /// DUT between experiments).
-    pub fn flush_caches(&mut self) {
-        self.hierarchy.flush_caches();
-    }
-
-    /// Access to the underlying hierarchy (read-only statistics).
-    pub fn hierarchy(&self) -> &MemoryHierarchy {
-        &self.hierarchy
+impl std::ops::AddAssign for PacketCounters {
+    fn add_assign(&mut self, other: PacketCounters) {
+        self.cycles += other.cycles;
+        self.instructions += other.instructions;
+        self.loads += other.loads;
+        self.stores += other.stores;
+        self.l3_misses += other.l3_misses;
     }
 }
 
-impl ExecSink for CpuModel {
-    fn retire(&mut self, class: CostClass) {
-        self.current.instructions += 1;
-        self.current.cycles += class.base_cycles();
-    }
-
-    fn mem_access(&mut self, addr: u64, _width: u64, is_write: bool) {
-        if is_write {
-            self.current.stores += 1;
-        } else {
-            self.current.loads += 1;
-        }
-        let kind = if is_write {
-            AccessKind::Write
-        } else {
-            AccessKind::Read
-        };
-        let outcome = self.hierarchy.access(addr, kind);
-        self.current.cycles += outcome.cycles;
-        if outcome.served_by == castan_mem::hierarchy::ServedBy::Dram {
-            self.current.l3_misses += 1;
-        }
-    }
-}
-
-/// The multi-core CPU model: one [`MultiCoreHierarchy`] shared by N
-/// simulated cores, with the same per-packet counter discipline as the
-/// single-core [`CpuModel`]. The simulation executes one packet at a time
-/// (cores interleave at packet granularity), so a single in-flight counter
-/// block suffices; per-core attribution happens in the hierarchy (memory
-/// statistics) and in the sharded DUT (packet counters).
+/// The CPU model: one [`MultiCoreHierarchy`] shared by N simulated cores
+/// (N = 1 is the paper's single-core DUT) and the in-flight per-packet
+/// counters. The simulation executes one packet at a time (cores interleave
+/// at packet granularity), so a single in-flight counter block suffices;
+/// per-core attribution happens in the hierarchy (memory statistics) and in
+/// the DUT (packet counters).
 #[derive(Debug)]
 pub struct MultiCoreCpu {
     hierarchy: MultiCoreHierarchy,
@@ -237,11 +178,13 @@ mod tests {
 
     #[test]
     fn counters_accumulate_and_reset() {
-        let mut cpu = CpuModel::new(MemoryHierarchy::new(HierarchyConfig::xeon_e5_2667v2(), 1));
+        let hierarchy = MultiCoreHierarchy::new(HierarchyConfig::xeon_e5_2667v2(), 1, 1);
+        let mut cpu = MultiCoreCpu::new(hierarchy);
         cpu.begin_packet();
-        cpu.retire(CostClass::Alu);
-        cpu.retire(CostClass::Load);
-        cpu.mem_access(0x5000_0000, 8, false);
+        let mut sink = cpu.sink(0, 0);
+        sink.retire(CostClass::Alu);
+        sink.retire(CostClass::Load);
+        sink.mem_access(0x5000_0000, 8, false);
         let c = cpu.packet_counters();
         assert_eq!(c.instructions, 2);
         assert_eq!(c.loads, 1);
@@ -249,7 +192,7 @@ mod tests {
         assert!(c.cycles >= 200);
 
         cpu.begin_packet();
-        cpu.mem_access(0x5000_0000, 8, false);
+        cpu.sink(0, 0).mem_access(0x5000_0000, 8, false);
         let c2 = cpu.packet_counters();
         assert_eq!(c2.l3_misses, 0, "cache state persists across packets");
         assert!(c2.cycles < c.cycles);

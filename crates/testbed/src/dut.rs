@@ -1,19 +1,9 @@
-//! The device under test: replays a workload through an NF on the simulated
-//! CPU and collects per-packet latency samples and performance counters.
+//! What a measurement run is configured with and the flat, single-stream
+//! view of what it measured — the input of the CDF tooling and the
+//! throughput search. The run loop itself is [`crate::shard::ShardedDut`].
 
-use castan_ir::{DataMemory, Interpreter, RunLimits};
-use castan_mem::{HierarchyConfig, MemoryHierarchy};
-use castan_nf::NfSpec;
-use castan_workload::Workload;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-use crate::cpu::{CpuModel, PacketCounters};
+use crate::cpu::PacketCounters;
 use crate::stats::Cdf;
-use crate::{
-    FORWARDING_OVERHEAD_CYCLES, FORWARDING_OVERHEAD_INSTRUCTIONS, FORWARDING_OVERHEAD_MISSES,
-    WIRE_LATENCY_NS,
-};
 
 /// Measurement parameters.
 #[derive(Clone, Copy, Debug)]
@@ -75,6 +65,11 @@ impl Measurement {
         Cdf::new(self.counters.iter().map(|c| c.cycles as f64).collect())
     }
 
+    /// Median reference cycles per packet.
+    pub fn median_cycles(&self) -> f64 {
+        crate::stats::median_u64(&self.counters.iter().map(|c| c.cycles).collect::<Vec<_>>())
+    }
+
     /// Median instructions retired per packet.
     pub fn median_instructions(&self) -> f64 {
         crate::stats::median_u64(
@@ -103,97 +98,10 @@ impl Measurement {
     }
 }
 
-/// The device under test.
-pub struct Dut {
-    nf: NfSpec,
-    cpu: CpuModel,
-    memory: DataMemory,
-    limits: RunLimits,
-}
-
-impl Dut {
-    /// Boots a DUT running the given NF on the Xeon E5-2667v2 profile.
-    pub fn new(nf: NfSpec, cfg: &MeasurementConfig) -> Self {
-        let hierarchy = MemoryHierarchy::new(HierarchyConfig::xeon_e5_2667v2(), cfg.boot_seed);
-        let memory = nf.initial_memory.clone();
-        Dut {
-            nf,
-            cpu: CpuModel::new(hierarchy),
-            memory,
-            limits: RunLimits::default(),
-        }
-    }
-
-    /// The NF this DUT runs.
-    pub fn nf(&self) -> &NfSpec {
-        &self.nf
-    }
-
-    /// Replays a workload and measures it. The NF's state persists across
-    /// the whole run (stateful NFs accumulate flow-table entries exactly as
-    /// on the real testbed); each call starts from a freshly initialised NF
-    /// and a cold cache.
-    pub fn run(&mut self, workload: &Workload, cfg: &MeasurementConfig) -> Measurement {
-        assert!(!workload.is_empty(), "cannot replay an empty workload");
-        self.memory = self.nf.initial_memory.clone();
-        self.cpu.flush_caches();
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-
-        let clock_ghz = self.cpu.clock_hz() as f64 / 1e9;
-        let interp = Interpreter::new(&self.nf.program, &self.nf.natives).with_limits(self.limits);
-
-        let mut latency_ns = Vec::new();
-        let mut counters = Vec::new();
-        let mut service_ns = Vec::new();
-
-        for i in 0..cfg.total_packets {
-            let pkt = &workload.packets[i % workload.packets.len()];
-            self.cpu.begin_packet();
-            let _ = interp
-                .run_packet(&mut self.memory, pkt, &mut self.cpu)
-                .expect("NF execution failed on the DUT");
-            let mut c = self.cpu.packet_counters();
-            c.cycles += FORWARDING_OVERHEAD_CYCLES;
-            c.instructions += FORWARDING_OVERHEAD_INSTRUCTIONS;
-            c.l3_misses += FORWARDING_OVERHEAD_MISSES;
-
-            if i < cfg.warmup_packets {
-                continue;
-            }
-            // Service time in nanoseconds.
-            let service = c.cycles as f64 / clock_ghz;
-            // End-to-end latency: wire/NIC path plus DUT service time plus a
-            // small amount of measurement noise with an occasional longer
-            // tail (interrupts, PCIe jitter) so the CDFs have realistic
-            // spread.
-            let base_jitter: f64 = rng.random_range(0.0..60.0);
-            let tail: f64 = if rng.random_bool(0.02) {
-                rng.random_range(100.0..400.0)
-            } else {
-                0.0
-            };
-            latency_ns.push(WIRE_LATENCY_NS + service + base_jitter + tail);
-            service_ns.push(service);
-            counters.push(c);
-        }
-
-        Measurement {
-            latency_ns,
-            counters,
-            service_ns,
-        }
-    }
-}
-
-/// Convenience: measure one NF under one workload with a fresh DUT.
-pub fn measure(nf: &NfSpec, workload: &Workload, cfg: &MeasurementConfig) -> Measurement {
-    let mut dut = Dut::new(nf.clone(), cfg);
-    dut.run(workload, cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::measure;
     use castan_nf::{nf_by_id, NfId};
     use castan_workload::{generic_workload, WorkloadConfig, WorkloadKind};
 

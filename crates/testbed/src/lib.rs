@@ -1,19 +1,21 @@
 //! # castan-testbed
 //!
 //! The simulated measurement testbed standing in for the paper's hardware
-//! setup (§5.1): a device under test (DUT) running one NF on a simulated
-//! Xeon E5-2667v2 (CPU cost model + `castan-mem` cache hierarchy), and a
-//! traffic generator (TG) that replays workload traces, measures per-packet
-//! end-to-end latency against a NOP baseline, derives the maximum
-//! throughput at <1 % loss, and reads back the per-packet performance
-//! counters (reference cycles, instructions retired, L3 misses).
+//! setup (§5.1): a device under test (DUT) on a simulated Xeon E5-2667v2
+//! (CPU cost model + `castan-mem` cache hierarchy), and a traffic generator
+//! (TG) that replays workload traces, measures per-packet end-to-end
+//! latency against a NOP baseline, derives the maximum throughput at <1 %
+//! loss, and reads back the per-packet performance counters (reference
+//! cycles, instructions retired, L3 misses).
 //!
-//! Beyond the paper's single-core setup, [`shard`] scales the DUT out:
-//! an RSS dispatcher (`castan-runtime`) flow-hashes packets onto N
-//! simulated cores, each running a private chain instance on per-core
-//! L1/L2 levels in front of one shared L3
-//! ([`castan_mem::MultiCoreHierarchy`]), with batched dispatch and
-//! per-core + aggregate measurements.
+//! There is one DUT, [`ShardedDut`]: an RSS dispatcher (`castan-runtime`)
+//! flow-hashes packets onto N simulated cores, each running a private
+//! instance of an NF chain on per-core L1/L2 levels in front of one shared
+//! L3 ([`castan_mem::MultiCoreHierarchy`]), with batched dispatch and
+//! per-core + aggregate measurements. The paper's setup — one NF, one core,
+//! every packet paying the whole forwarding overhead — is its smallest
+//! configuration: a chain of one at [`ShardConfig::unbatched`]`(1)`, which
+//! is what [`measure`] runs.
 //!
 //! Absolute numbers are calibrated only loosely against the paper's testbed
 //! (the NOP forwarding overhead and the 3.3 GHz clock); what the
@@ -23,21 +25,19 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod chain;
 pub mod cpu;
 pub mod dut;
 pub mod shard;
 pub mod stats;
 pub mod throughput;
 
-pub use chain::{measure_chain, ChainDut, ChainMeasurement};
-pub use cpu::{CoreSink, CpuModel, MultiCoreCpu, PacketCounters};
-pub use dut::{measure, Dut, Measurement, MeasurementConfig};
+pub use cpu::{CoreSink, MultiCoreCpu, PacketCounters};
+pub use dut::{Measurement, MeasurementConfig};
 pub use shard::{
-    measure_sharded, victim_table, CoreMeasurement, DetectionConfig, DetectionReport,
-    MitigationConfig, NeighborReplay, NoisyNeighborDut, NoisyNeighborMeasurement, ShardConfig,
-    ShardedDut, ShardedMeasurement, TelemetryConfig, DETECT_POLL_CYCLES, MIGRATION_LINES_PER_FLOW,
-    STEAL_BATCH_CYCLES, STEAL_THRESHOLD_CYCLES,
+    measure, measure_chain, measure_sharded, victim_table, CoreMeasurement, DetectionConfig,
+    DetectionReport, MitigationConfig, NeighborReplay, ShardConfig, ShardedDut, ShardedMeasurement,
+    TelemetryConfig, DETECT_POLL_CYCLES, MIGRATION_LINES_PER_FLOW, STEAL_BATCH_CYCLES,
+    STEAL_THRESHOLD_CYCLES,
 };
 pub use stats::Cdf;
 pub use throughput::{max_throughput_mpps, ThroughputConfig};

@@ -97,7 +97,7 @@ pub fn max_throughput_mpps(measurement: &Measurement, cfg: &ThroughputConfig) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dut::{measure, MeasurementConfig};
+    use crate::{measure, MeasurementConfig};
     use castan_nf::{nf_by_id, NfId};
     use castan_workload::{generic_workload, WorkloadConfig, WorkloadKind};
 

@@ -1,207 +1,20 @@
-//! Cross-core §3.2 contention-set discovery.
+//! Cross-core consistency of the §3.2 contention-set discovery.
 //!
-//! The algorithm is the paper's three-step procedure, unchanged:
-//!
-//! 1. grow a set `S` of candidate addresses until adding one raises the
-//!    probing time by more than a contention threshold δ;
-//! 2. shrink `S` to exactly α+1 members of the contention set by removing
-//!    each address and checking whether the probing time drops;
-//! 3. classify every remaining candidate by swapping it against a known
-//!    member and checking whether the probing time stays high.
-//!
-//! What is new is *where it runs*: the probe loop executes on an arbitrary
-//! attacker core of a [`MultiCoreHierarchy`], and the candidate pool may
-//! span several cores' striped address windows. Because the L3 is shared
-//! and physically indexed, the (slice, set) bucket of a line does not
-//! depend on which core touches it — so the recovered sets are consistent
-//! across cores ([`consistent_across_cores`] verifies this by probing from
-//! every core and intersecting), and a 1-core hierarchy reproduces
-//! `castan_mem::contention::discover_catalog` byte for byte (the algorithm,
-//! the shuffle seeds and the threshold derivation are shared).
-//!
-//! [`ground_truth_catalog_on`] is the `SliceHash` oracle the discovery is
-//! validated against — the same role `ContentionCatalog::from_ground_truth`
-//! plays for the single-core path.
-//!
-//! Maintenance note: steps 1–3 here are a deliberate twin of
-//! `castan_mem::contention::{discover_contention_set, discover_catalog}`
-//! (this crate sits above `castan-mem`, so the single-core path cannot
-//! delegate down to it). Any algorithmic change must land in both copies;
-//! the tier-1 `one_core_discovery_is_the_single_core_special_case` test
-//! (and its root-level proptest) pins byte-for-byte equality and fails
-//! the build if the twins drift.
-
-use std::collections::HashMap;
-
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+//! The discovery itself is `castan_mem::contention`'s (re-exported from
+//! the crate root under this crate's names): the paper's three-step
+//! procedure, probing from a chosen core of a [`MultiCoreHierarchy`] over a
+//! candidate pool that may span several cores' striped address windows.
+//! Because the L3 is shared and physically indexed, the (slice, set)
+//! bucket of a line does not depend on which core touches it — so the
+//! recovered sets are consistent across cores, which
+//! [`consistent_across_cores`] verifies by probing from every core and
+//! intersecting. The tests here validate the attacker-core view against
+//! the `SliceHash` ground-truth oracle.
 
 use castan_mem::contention::{
-    consistent_catalog, ContentionCatalog, ContentionSet, DiscoveryConfig,
+    consistent_catalog, discover_catalog, ContentionCatalog, DiscoveryConfig,
 };
-use castan_mem::probe::contention_threshold_for;
-use castan_mem::{line_of, MultiCoreHierarchy};
-
-use crate::probe::probing_time_from;
-
-fn crossing_threshold(hier: &MultiCoreHierarchy, cfg: &DiscoveryConfig) -> u64 {
-    cfg.crossing_threshold.unwrap_or_else(|| {
-        u64::from(hier.l3_associativity()) * contention_threshold_for(hier.config()) / 2
-    })
-}
-
-/// Builds the ground-truth catalogue for the given candidate lines by
-/// asking the simulator for each line's (slice, set) bucket — the
-/// multi-core counterpart of `ContentionCatalog::from_ground_truth`, with
-/// identical grouping and ordering. The candidates may span any number of
-/// cores' address windows; the bucket of a line does not depend on which
-/// core accesses it.
-///
-/// Not available to a real attacker; used as the experiments' fast path and
-/// as the oracle for validating [`discover_catalog_from`].
-pub fn ground_truth_catalog_on(
-    hier: &mut MultiCoreHierarchy,
-    lines: impl IntoIterator<Item = u64>,
-) -> ContentionCatalog {
-    let alpha = hier.l3_associativity();
-    let mut buckets: HashMap<(u32, u64), Vec<u64>> = HashMap::new();
-    for l in lines {
-        let l = line_of(l);
-        let bucket = hier.ground_truth_bucket(l);
-        let v = buckets.entry(bucket).or_default();
-        if v.last() != Some(&l) {
-            v.push(l);
-        }
-    }
-    let mut sets: Vec<ContentionSet> = buckets
-        .into_values()
-        .map(|mut lines| {
-            lines.sort_unstable();
-            lines.dedup();
-            ContentionSet { lines }
-        })
-        .collect();
-    sets.sort_by(|a, b| {
-        b.lines
-            .len()
-            .cmp(&a.lines.len())
-            .then(a.lines.cmp(&b.lines))
-    });
-    ContentionCatalog::from_sets(sets, alpha)
-}
-
-/// Discovers **one** contention set among `candidates` (byte addresses,
-/// possibly spanning several cores' address windows), probing from core
-/// `prober` of a multi-core hierarchy. Returns `None` if the candidates
-/// never drive the probing time across the threshold (e.g. too few
-/// candidates per set).
-pub fn discover_contention_set_from(
-    hier: &mut MultiCoreHierarchy,
-    prober: usize,
-    candidates: &[u64],
-    cfg: &DiscoveryConfig,
-) -> Option<ContentionSet> {
-    let alpha = hier.l3_associativity() as usize;
-    let delta_c = crossing_threshold(hier, cfg);
-    let mut order: Vec<u64> = candidates.iter().map(|&a| line_of(a)).collect();
-    order.sort_unstable();
-    order.dedup();
-    let mut rng = StdRng::seed_from_u64(cfg.shuffle_seed);
-    order.shuffle(&mut rng);
-
-    // Step 1: grow S until the probing time jumps by more than δ.
-    let mut s: Vec<u64> = Vec::new();
-    let mut prev_time = 0u64;
-    let mut crossed = false;
-    let mut rest_start = order.len();
-    for (i, &a) in order.iter().enumerate() {
-        s.push(a);
-        let t = probing_time_from(hier, prober, &s, cfg.probe);
-        if !s.is_empty() && t > prev_time + delta_c && s.len() > alpha {
-            crossed = true;
-            rest_start = i + 1;
-            break;
-        }
-        prev_time = t;
-    }
-    if !crossed {
-        return None;
-    }
-
-    // Step 2: shrink S to exactly α+1 members of the target set C.
-    let mut idx = 0;
-    while idx < s.len() {
-        let removed = s.remove(idx);
-        let before = probing_time_from(hier, prober, &s, cfg.probe);
-        let mut with = s.clone();
-        with.insert(idx, removed);
-        let t_with = probing_time_from(hier, prober, &with, cfg.probe);
-        if t_with > before + delta_c {
-            // Removing it made probing cheap again ⇒ it belongs to C.
-            s.insert(idx, removed);
-            idx += 1;
-        }
-        // Otherwise leave it out and keep idx pointing at the next element.
-    }
-    if s.len() < alpha + 1 {
-        return None;
-    }
-
-    // Step 3: classify every remaining candidate by substitution.
-    let mut members = s.clone();
-    let baseline = probing_time_from(hier, prober, &s, cfg.probe);
-    for &a in &order[rest_start..] {
-        if s.contains(&a) {
-            continue;
-        }
-        let mut swapped = s.clone();
-        let slot = swapped.len() - 1;
-        swapped[slot] = a;
-        let t = probing_time_from(hier, prober, &swapped, cfg.probe);
-        if t + delta_c > baseline {
-            // Probing stayed expensive ⇒ the substitute collides too.
-            members.push(a);
-        }
-    }
-    members.sort_unstable();
-    members.dedup();
-    Some(ContentionSet { lines: members })
-}
-
-/// Discovers up to `cfg.max_sets` contention sets among `candidates` for a
-/// single boot, probing from core `prober`, removing each discovered set's
-/// members from the candidate pool before looking for the next one.
-pub fn discover_catalog_from(
-    hier: &mut MultiCoreHierarchy,
-    prober: usize,
-    candidates: &[u64],
-    cfg: &DiscoveryConfig,
-) -> ContentionCatalog {
-    let alpha = hier.l3_associativity();
-    let mut pool: Vec<u64> = candidates.iter().map(|&a| line_of(a)).collect();
-    pool.sort_unstable();
-    pool.dedup();
-    let mut sets = Vec::new();
-    let mut cfg = cfg.clone();
-    while sets.len() < cfg.max_sets {
-        match discover_contention_set_from(hier, prober, &pool, &cfg) {
-            None => break,
-            Some(set) => {
-                pool.retain(|a| !set.lines.contains(a));
-                sets.push(set);
-                // Vary the shuffle per round so different sets get found
-                // (the same LCG step the single-core path uses, so a 1-core
-                // hierarchy reproduces its output exactly).
-                cfg.shuffle_seed = cfg
-                    .shuffle_seed
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1);
-            }
-        }
-    }
-    ContentionCatalog::from_sets(sets, alpha)
-}
+use castan_mem::MultiCoreHierarchy;
 
 /// Discovers one catalogue per core (probing the same candidate pool from
 /// every core of the hierarchy) and intersects them with the paper's
@@ -215,7 +28,7 @@ pub fn consistent_across_cores(
     cfg: &DiscoveryConfig,
 ) -> ContentionCatalog {
     let catalogs: Vec<ContentionCatalog> = (0..hier.n_cores())
-        .map(|core| discover_catalog_from(hier, core, candidates, cfg))
+        .map(|core| discover_catalog(hier, core, candidates, cfg))
         .collect();
     consistent_catalog(&catalogs)
 }
@@ -223,8 +36,8 @@ pub fn consistent_across_cores(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use castan_mem::contention::{discover_catalog, discover_contention_set};
-    use castan_mem::{HierarchyConfig, MemoryHierarchy, LINE_SIZE};
+    use castan_mem::contention::ground_truth_catalog_on;
+    use castan_mem::HierarchyConfig;
 
     fn tiny_multi(boot: u64, cores: usize) -> MultiCoreHierarchy {
         MultiCoreHierarchy::new(HierarchyConfig::tiny_for_tests(), boot, cores)
@@ -240,45 +53,12 @@ mod tests {
     }
 
     #[test]
-    fn one_core_discovery_is_the_single_core_special_case() {
-        // Satellite acceptance: xcore discovery on a 1-core hierarchy must
-        // reproduce castan-mem's single-core output byte for byte — same
-        // sets, same order — for both the single-set and the catalogue
-        // entry points.
-        let cfg = HierarchyConfig::tiny_for_tests();
-        let span = cfg.l3_slice_geometry().sets() * LINE_SIZE;
-        let candidates: Vec<u64> = (0..48u64).map(|i| 0x10_0000 + i * span).collect();
-        let dcfg = DiscoveryConfig::default();
-
-        let single_one =
-            discover_contention_set(&mut MemoryHierarchy::new(cfg, 5), &candidates, &dcfg);
-        let multi_one = discover_contention_set_from(
-            &mut MultiCoreHierarchy::new(cfg, 5, 1),
-            0,
-            &candidates,
-            &dcfg,
-        );
-        assert_eq!(single_one, multi_one);
-        assert!(multi_one.is_some());
-
-        let single_cat = discover_catalog(&mut MemoryHierarchy::new(cfg, 9), &candidates, &dcfg);
-        let multi_cat = discover_catalog_from(
-            &mut MultiCoreHierarchy::new(cfg, 9, 1),
-            0,
-            &candidates,
-            &dcfg,
-        );
-        assert_eq!(single_cat.sets(), multi_cat.sets());
-        assert_eq!(single_cat.associativity(), multi_cat.associativity());
-    }
-
-    #[test]
     fn cross_core_discovery_matches_the_oracle_and_mixes_windows() {
         let cfg = HierarchyConfig::tiny_for_tests();
         let candidates = two_window_candidates(&cfg, 24);
         let mut h = tiny_multi(13, 2);
         let truth = ground_truth_catalog_on(&mut h, candidates.iter().copied());
-        let discovered = discover_catalog_from(&mut h, 1, &candidates, &DiscoveryConfig::default());
+        let discovered = discover_catalog(&mut h, 1, &candidates, &DiscoveryConfig::default());
         assert!(!discovered.is_empty());
 
         // Every discovered set must be a subset of one oracle bucket.
@@ -306,8 +86,7 @@ mod tests {
             let candidates = two_window_candidates(&cfg, 20);
             let mut h = tiny_multi(boot, 2);
             let truth = ground_truth_catalog_on(&mut h, candidates.iter().copied());
-            let discovered =
-                discover_catalog_from(&mut h, 1, &candidates, &DiscoveryConfig::default());
+            let discovered = discover_catalog(&mut h, 1, &candidates, &DiscoveryConfig::default());
             for (i, truth_set) in truth.sets().iter().enumerate() {
                 if truth_set.len() <= h.l3_associativity() as usize {
                     continue; // cannot cross the threshold: undiscoverable
@@ -335,12 +114,12 @@ mod tests {
         let cfg = HierarchyConfig::tiny_for_tests();
         let candidates = two_window_candidates(&cfg, 16);
         let dcfg = DiscoveryConfig::default();
-        let a = discover_catalog_from(&mut tiny_multi(7, 2), 1, &candidates, &dcfg);
-        let b = discover_catalog_from(&mut tiny_multi(7, 2), 1, &candidates, &dcfg);
+        let a = discover_catalog(&mut tiny_multi(7, 2), 1, &candidates, &dcfg);
+        let b = discover_catalog(&mut tiny_multi(7, 2), 1, &candidates, &dcfg);
         assert_eq!(a.sets(), b.sets());
         // A different shuffle seed may group differently, but the same seed
         // must never diverge; a different boot genuinely remaps frames.
-        let c = discover_catalog_from(&mut tiny_multi(8, 2), 1, &candidates, &dcfg);
+        let c = discover_catalog(&mut tiny_multi(8, 2), 1, &candidates, &dcfg);
         assert!(!c.is_empty());
     }
 
@@ -349,10 +128,9 @@ mod tests {
         let cfg = HierarchyConfig::tiny_for_tests();
         let candidates = two_window_candidates(&cfg, 16);
         let mut h = tiny_multi(21, 4);
-        let reference = discover_catalog_from(&mut h, 0, &candidates, &DiscoveryConfig::default());
+        let reference = discover_catalog(&mut h, 0, &candidates, &DiscoveryConfig::default());
         for core in 1..4 {
-            let other =
-                discover_catalog_from(&mut h, core, &candidates, &DiscoveryConfig::default());
+            let other = discover_catalog(&mut h, core, &candidates, &DiscoveryConfig::default());
             assert_eq!(reference.sets(), other.sets(), "prober core {core}");
         }
         let consistent = consistent_across_cores(&mut h, &candidates, &DiscoveryConfig::default());

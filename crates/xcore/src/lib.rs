@@ -12,18 +12,14 @@
 //! back-invalidates the colliding lines out of every other core's private
 //! L1/L2. This crate weaponizes that:
 //!
-//! * [`probe`] — the §3.2 pointer-chase probing-time measurement, run from
-//!   an arbitrary *prober core* of a
-//!   [`MultiCoreHierarchy`](castan_mem::MultiCoreHierarchy): probes charge
-//!   through the prober's private levels into the shared L3, which is how a
-//!   neighbour core observes contention with a victim core's lines.
-//! * [`discover`] — the three-step §3.2 discovery algorithm, core-aware:
-//!   the candidate pool may span several cores' address windows, and the
-//!   recovered grouping is validated against the simulator's `SliceHash`
-//!   ground-truth oracle exactly like the single-core path. A 1-core
-//!   hierarchy reproduces `castan-mem::contention`'s output byte for byte
-//!   (pinned by tests), and catalogues probed from different cores agree —
-//!   the sets are *consistent across cores*.
+//! * Discovery — the §3.2 pointer-chase probe and three-step discovery
+//!   algorithm are `castan-mem`'s, which run from an arbitrary *prober
+//!   core* of a [`MultiCoreHierarchy`](castan_mem::MultiCoreHierarchy):
+//!   probes charge through the prober's private levels into the shared L3,
+//!   which is how a neighbour core observes contention with a victim
+//!   core's lines. They are re-exported here ([`discover_catalog_from`],
+//!   [`ground_truth_catalog_on`]); [`discover`] adds the cross-core
+//!   consistency check — catalogues probed from different cores agree.
 //! * [`plan`] — the chain-aware feedback into analysis: map a victim
 //!   chain's hot state (per-line heat of the striped per-core stage
 //!   regions the sharded DUT assigns) onto the discovered buckets and emit
@@ -37,14 +33,12 @@
 
 pub mod discover;
 pub mod plan;
-pub mod probe;
 
-pub use discover::{
-    consistent_across_cores, discover_catalog_from, discover_contention_set_from,
-    ground_truth_catalog_on,
+pub use castan_mem::contention::{
+    discover_catalog as discover_catalog_from, ground_truth_catalog_on,
 };
+pub use discover::consistent_across_cores;
 pub use plan::{
     build_eviction_plan, premap_deployment, random_neighbor_lines, EvictionPlan, HotLineMap,
     PlanEntry, XCoreConfig,
 };
-pub use probe::probing_time_from;

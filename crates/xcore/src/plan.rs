@@ -22,8 +22,9 @@
 //!    the attacker cannot overflow never evicts).
 //!
 //! The bucket grouping comes from either the `SliceHash` ground-truth
-//! oracle (the experiments' fast path) or the core-aware §3.2 discovery of
-//! [`crate::discover`], which is validated against that oracle. Both the
+//! oracle (the experiments' fast path) or the §3.2 discovery probed from the
+//! attacker core ([`crate::discover_catalog_from`]), which is validated
+//! against that oracle. Both the
 //! oracle and the measured deployment must premap the deployment's pages in
 //! the canonical order ([`premap_deployment`]) — frame assignment is
 //! first-touch ordered, so an unpremapped oracle would disagree with the

@@ -29,7 +29,13 @@ fn main() {
     let mut per_boot = Vec::new();
     for boot in [11u64, 22, 33] {
         let mut hier = MemoryHierarchy::new(config, boot);
-        let catalog = discover_catalog(&mut hier, &candidates, &DiscoveryConfig::default());
+        // The paper probes on the one core it has: prober 0.
+        let catalog = discover_catalog(
+            hier.multicore_mut(),
+            0,
+            &candidates,
+            &DiscoveryConfig::default(),
+        );
         println!(
             "boot {boot}: discovered {} contention sets, sizes {:?}",
             catalog.len(),

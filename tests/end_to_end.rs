@@ -2,7 +2,7 @@
 //! synthesized workload → testbed measurement) on scaled-down budgets.
 
 use castan_suite::analysis::{analyze_chain, AnalysisConfig, Castan};
-use castan_suite::chain::{chain_by_id, ChainId, NfChain};
+use castan_suite::chain::{chain_by_id, ChainId};
 use castan_suite::mem::{ContentionCatalog, HierarchyConfig, MemoryHierarchy};
 use castan_suite::nf::{all_nfs, nf_by_id, NfId, NfSpec};
 use castan_suite::packet::pcap;
@@ -164,21 +164,26 @@ fn chain_pipeline_analysis_synthesis_measurement() {
 
     let meas_cfg = quick_measurement();
     let m = measure_chain(&chain, &castan_workload(report.packets.clone()), &meas_cfg);
+    let m_cycles = m.as_measurement().median_cycles();
 
     // Per-stage counters sum — minus nothing but the per-packet forwarding
     // overhead, which is charged once for the whole chain — to the
     // end-to-end measurement. The shared-cache interaction lives *inside*
     // the per-stage cycle counts (stages evict each other's L3 lines), so
     // the identity holds exactly.
-    for (i, total) in m.end_to_end.iter().enumerate() {
-        let stage_instr: u64 = m.per_stage.iter().map(|s| s[i].instructions).sum();
-        let stage_cycles: u64 = m.per_stage.iter().map(|s| s[i].cycles).sum();
-        assert_eq!(
-            total.instructions,
-            stage_instr + FORWARDING_OVERHEAD_INSTRUCTIONS
-        );
-        assert_eq!(total.cycles, stage_cycles + FORWARDING_OVERHEAD_CYCLES);
-    }
+    let core = &m.per_core[0];
+    let packets = core.packets() as u64;
+    let total = m.aggregate_counters();
+    let stage_instr: u64 = core.stage_totals.iter().map(|s| s.instructions).sum();
+    let stage_cycles: u64 = core.stage_totals.iter().map(|s| s.cycles).sum();
+    assert_eq!(
+        total.instructions,
+        stage_instr + packets * FORWARDING_OVERHEAD_INSTRUCTIONS
+    );
+    assert_eq!(
+        total.cycles,
+        stage_cycles + packets * FORWARDING_OVERHEAD_CYCLES
+    );
 
     // The adversarial chain workload must cost at least as much as the
     // single-packet baseline on the same chain.
@@ -190,12 +195,12 @@ fn chain_pipeline_analysis_synthesis_measurement() {
             &WorkloadConfig::scaled(0.003),
         ),
         &meas_cfg,
-    );
+    )
+    .as_measurement()
+    .median_cycles();
     assert!(
-        m.median_cycles() >= baseline.median_cycles(),
-        "adversarial {} vs baseline {}",
-        m.median_cycles(),
-        baseline.median_cycles()
+        m_cycles >= baseline,
+        "adversarial {m_cycles} vs baseline {baseline}"
     );
 }
 
@@ -212,21 +217,22 @@ fn chain_cost_is_not_the_sum_of_isolated_stage_costs() {
         &WorkloadConfig::scaled(0.002),
     );
     let cfg = quick_measurement();
-    let m_chain = measure_chain(&chain, &wl, &cfg);
+    let m_chain = measure_chain(&chain, &wl, &cfg)
+        .as_measurement()
+        .median_cycles();
 
     let mut isolated_sum = 0.0;
     for stage in &chain.stages {
-        let single = NfChain::new(stage.nf.name(), vec![stage.nf.clone()]);
-        isolated_sum += measure_chain(&single, &wl, &cfg).median_cycles();
+        isolated_sum += measure(&stage.nf, &wl, &cfg).median_cycles();
     }
     // One forwarding overhead is double-counted in the isolated sum.
     isolated_sum -= FORWARDING_OVERHEAD_CYCLES as f64;
-    let delta = (m_chain.median_cycles() - isolated_sum).abs() / isolated_sum;
+    let delta = (m_chain - isolated_sum).abs() / isolated_sum;
     assert!(
         delta > 0.005,
         "shared-L3 contention should shift chain cost away from the isolated sum \
          (chain {} vs sum {}, delta {:.3}%)",
-        m_chain.median_cycles(),
+        m_chain,
         isolated_sum,
         delta * 100.0
     );

@@ -96,8 +96,8 @@ proptest! {
         for chain in all_chains() {
             let wl = generic_chain_workload(&chain, kind, &wl_cfg);
             let env = chain_envelope(&chain, &EnvelopeParams::new(flow_budget(&wl)));
-            let m = measure_chain(&chain, &wl, &cfg);
-            for (i, c) in m.end_to_end.iter().enumerate() {
+            let m = measure_chain(&chain, &wl, &cfg).as_measurement();
+            for (i, c) in m.counters.iter().enumerate() {
                 // The fixed NIC/forwarding cost is charged once per packet
                 // for the whole chain; peel it off before checking.
                 let cycles = c.cycles - FORWARDING_OVERHEAD_CYCLES;

@@ -160,13 +160,13 @@ proptest! {
             ..MeasurementConfig::quick()
         };
         let chain = NfChain::new("nop-nop", vec![nf_by_id(NfId::Nop), nf_by_id(NfId::Nop)]);
-        let m_chain = castan_suite::testbed::measure_chain(&chain, &wl, &cfg);
+        let m_chain = castan_suite::testbed::measure_chain(&chain, &wl, &cfg).as_measurement();
         let m_single = measure(&nf_by_id(NfId::Nop), &wl, &cfg);
 
-        prop_assert_eq!(m_chain.end_to_end.len(), m_single.counters.len());
+        prop_assert_eq!(m_chain.counters.len(), m_single.counters.len());
         let stage_instructions = 1; // the NOP program is a single `ret`
         let stage_cycles = CostClass::Return.base_cycles();
-        for (c, s) in m_chain.end_to_end.iter().zip(&m_single.counters) {
+        for (c, s) in m_chain.counters.iter().zip(&m_single.counters) {
             prop_assert_eq!(c.instructions, s.instructions + stage_instructions);
             prop_assert_eq!(c.cycles, s.cycles + stage_cycles);
             prop_assert_eq!(c.l3_misses, s.l3_misses);
@@ -225,31 +225,6 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
-
-    /// Dispatching over one core with batches of one is byte-identical to
-    /// the unbatched chained DUT — counters, latency samples and drop
-    /// counts included — for arbitrary workload seeds.
-    #[test]
-    fn one_core_dispatch_equals_the_chain_dut(seed in any::<u64>()) {
-        use castan_suite::chain::{chain_by_id, ChainId};
-        use castan_suite::testbed::{measure_chain, measure_sharded, MeasurementConfig, ShardConfig};
-        use castan_suite::workload::{generic_chain_workload, WorkloadConfig, WorkloadKind};
-
-        let chain = chain_by_id(ChainId::NatLpm);
-        let wl_cfg = WorkloadConfig { scale: 0.002, seed };
-        let wl = generic_chain_workload(&chain, WorkloadKind::Zipfian, &wl_cfg);
-        let cfg = MeasurementConfig {
-            total_packets: 600,
-            warmup_packets: 60,
-            seed,
-            ..MeasurementConfig::quick()
-        };
-        let single = measure_chain(&chain, &wl, &cfg);
-        let sharded = measure_sharded(&chain, ShardConfig::unbatched(1), &wl, &cfg);
-        prop_assert_eq!(&sharded.per_core[0].end_to_end, &single.end_to_end);
-        prop_assert_eq!(&sharded.per_core[0].latency_ns, &single.latency_ns);
-        prop_assert_eq!(sharded.per_core[0].dropped, single.dropped);
-    }
 
     /// A seeded sharded run is deterministic: repeating the identical run
     /// reproduces every per-core counter and latency sample exactly.
@@ -521,27 +496,6 @@ proptest! {
         let other_core = (prober + 1) % 4;
         let other = discover_catalog_from(&mut h, other_core, &candidates, &dcfg);
         prop_assert_eq!(discovered.sets(), other.sets(), "prober cores disagree");
-    }
-
-    /// A 1-core hierarchy makes cross-core discovery a strict special case
-    /// of the single-core `castan-mem::contention` path: identical output,
-    /// byte for byte, for any boot seed.
-    #[test]
-    fn one_core_xcore_discovery_matches_the_single_core_path(boot in 1u64..1_000) {
-        use castan_suite::mem::contention::{discover_catalog, DiscoveryConfig};
-        use castan_suite::mem::{HierarchyConfig, MemoryHierarchy, MultiCoreHierarchy, LINE_SIZE};
-        use castan_suite::xcore::discover_catalog_from;
-
-        let cfg = HierarchyConfig::tiny_for_tests();
-        let span = cfg.l3_slice_geometry().sets() * LINE_SIZE;
-        let candidates: Vec<u64> = (0..40u64).map(|i| 0x20_0000 + i * span).collect();
-        let dcfg = DiscoveryConfig::default();
-        let single = discover_catalog(&mut MemoryHierarchy::new(cfg, boot), &candidates, &dcfg);
-        let multi = discover_catalog_from(
-            &mut MultiCoreHierarchy::new(cfg, boot, 1), 0, &candidates, &dcfg,
-        );
-        prop_assert_eq!(single.sets(), multi.sets());
-        prop_assert_eq!(single.associativity(), multi.associativity());
     }
 }
 
