@@ -50,7 +50,12 @@ fn bench_solver(c: &mut Criterion) {
 /// the within-the-line pair has no equality to invert and no candidate that
 /// is a bucket index, so its component runs the backtracking pass and the
 /// random completion to an `Unknown` — the engine's most common expensive
-/// answer.
+/// answer. The pins are built anew for every query, as the engine builds
+/// them: the solver has seen the path constraint before, never the pin, so
+/// what is timed is one fresh component plus slicing a remembered base.
+/// `resolve_sweep` is the whole shape of one `resolve_symbolic_address`
+/// call: seven candidate lines, each probed exactly and then within the
+/// line — 14 queries an iteration over the one path constraint.
 fn bench_path_constraint(c: &mut Criterion) {
     let nf = nf_by_id(NfId::NatHashTable);
     let catalog = {
@@ -79,12 +84,12 @@ fn bench_path_constraint(c: &mut Criterion) {
             SymExpr::constant(bound),
         ))
     };
-    let exact = [pin(CmpOp::Eq, line)];
-    let within = [pin(CmpOp::Uge, line), pin(CmpOp::Ult, line + LINE_SIZE)];
+    let exact = |line| [pin(CmpOp::Eq, line)];
+    let within = |line| [pin(CmpOp::Uge, line), pin(CmpOp::Ult, line + LINE_SIZE)];
 
     let mut solver = Solver::default();
-    let sat = solver.solve_with_extra(&state.atoms, &base, &exact);
-    let unknown = solver.solve_with_extra(&state.atoms, &base, &within);
+    let sat = solver.solve_with_extra(&state.atoms, &base, &exact(line));
+    let unknown = solver.solve_with_extra(&state.atoms, &base, &within(line));
     assert!(
         base.len() >= 20 && sat.is_sat() && unknown == SolveOutcome::Unknown,
         "the case no longer measures what it says: {} constraints, exact pin {}, line pin {unknown:?}",
@@ -94,10 +99,18 @@ fn bench_path_constraint(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("path_constraint");
     group.bench_function("exact_pin", |b| {
-        b.iter(|| black_box(solver.solve_with_extra(&state.atoms, &base, &exact)))
+        b.iter(|| black_box(solver.solve_with_extra(&state.atoms, &base, &exact(line))))
     });
     group.bench_function("line_pin", |b| {
-        b.iter(|| black_box(solver.solve_with_extra(&state.atoms, &base, &within)))
+        b.iter(|| black_box(solver.solve_with_extra(&state.atoms, &base, &within(line))))
+    });
+    group.bench_function("resolve_sweep", |b| {
+        b.iter(|| {
+            for candidate in (0..7).map(|i| line + i * LINE_SIZE) {
+                black_box(solver.solve_with_extra(&state.atoms, &base, &exact(candidate)));
+                black_box(solver.solve_with_extra(&state.atoms, &base, &within(candidate)));
+            }
+        })
     });
     group.finish();
 }

@@ -317,6 +317,10 @@ fn analyze_chain_inner(
             SolverSite::Synthesis,
             solver.stats().since(stats_before_synth),
         );
+        t.record_synthesis(&synth);
+        // The solver is this function's own: merge and synthesis are all it
+        // was ever asked.
+        t.components.absorb(solver.component_stats());
         if let Some(t0) = synth_t0 {
             t.synth_ns += t0.elapsed().as_nanos() as u64;
             t.span("chain synthesis", t0, 0);

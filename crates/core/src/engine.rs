@@ -19,10 +19,11 @@
 //! count), runs one scheduling quantum per state on a pool of worker
 //! threads that lives as long as the search (one shared slot queue), then
 //! merges the results back into the frontier in slot order at a barrier.
-//! Because the batch composition, each slot's execution (own deterministic
-//! solver per slot), and the merge order are all independent of how slots
-//! were distributed over workers, the analysis result is **identical for
-//! any thread count** — a property the test suite pins.
+//! Because the batch composition, each slot's execution (a solver query's
+//! answer depends on the query alone, whichever worker's solver is asked and
+//! whatever it was asked before), and the merge order are all independent of
+//! how slots were distributed over workers, the analysis result is
+//! **identical for any thread count** — a property the test suite pins.
 //!
 //! # Per-fork cost
 //!
@@ -53,7 +54,7 @@ use crate::expr::{intern_stats, Constraint, InternStats, SymExpr};
 use crate::havoc::HavocRecord;
 use crate::report::AnalysisReport;
 use crate::search::{SearchScore, SearchStrategyKind};
-use crate::solve::{Model, SolveOutcome, Solver, SolverConfig};
+use crate::solve::{ComponentStats, Model, SolveOutcome, Solver, SolverConfig};
 use crate::state::{ExecState, Frame, StateStatus};
 use crate::symmem::SymMemory;
 use crate::synth::{synthesize, SynthConfig};
@@ -275,10 +276,14 @@ impl Castan {
         // it are pruned (strictly `<`, so the argmax is preserved).
         let mut incumbent: u64 = 0;
         let threads = self.config.threads.max(1);
+        // The search thread's solver: the slots no worker runs, then
+        // synthesis. It is dropped, with what it remembers, with the analysis.
+        let mut solver = Solver::new(self.config.solver);
 
         // The workers live as long as the search, not one round: a round then
         // costs two wake-ups instead of spawns, and every worker keeps the
-        // `SymExpr` intern table it has warmed up.
+        // `SymExpr` intern table it has warmed up and a solver that remembers
+        // the components of the path constraints it has been asked about.
         std::thread::scope(|scope| {
             let workers = (threads > 1).then(|| Workers::spawn(scope, &engine, threads));
             while steps < self.config.step_budget && !strategy.is_empty() {
@@ -318,7 +323,10 @@ impl Castan {
                 let explore_t0 = timing.then(Instant::now);
                 let results: Vec<SlotResult> = match &workers {
                     Some(w) if batch.len() > 1 => w.run_round(batch),
-                    _ => batch.into_iter().map(|s| run_slot(&engine, s)).collect(),
+                    _ => batch
+                        .into_iter()
+                        .map(|s| run_slot(&engine, &mut solver, s))
+                        .collect(),
                 };
                 if let (Some(t), Some(t0)) = (trace.as_deref_mut(), explore_t0) {
                     t.explore_ns += t0.elapsed().as_nanos() as u64;
@@ -425,8 +433,8 @@ impl Castan {
             })
             .or(best_partial);
 
-        let mut solver = Solver::new(self.config.solver);
         let synth_t0 = timing.then(Instant::now);
+        let before_synth = (solver.stats(), solver.component_stats());
         let (packets, per_packet, havocs_total, havocs_reconciled, worst): (
             Vec<Packet>,
             Vec<crate::report::PathMetrics>,
@@ -436,6 +444,9 @@ impl Castan {
         ) = match &best {
             Some(state) => {
                 let synth = synthesize(nf, state, &mut solver, &self.config.synth);
+                if let Some(t) = trace.as_deref_mut() {
+                    t.record_synthesis(&synth);
+                }
                 let worst = state.max_completed_cpp();
                 let reconciled = synth.reconciled();
                 (
@@ -449,9 +460,9 @@ impl Castan {
             None => (Vec::new(), Vec::new(), 0, 0, 0),
         };
         if let Some(t) = trace {
-            // The solver is fresh, so its lifetime stats ARE the synthesis
-            // delta.
-            t.record_site(SolverSite::Synthesis, solver.stats());
+            t.record_site(SolverSite::Synthesis, solver.stats().since(before_synth.0));
+            t.components
+                .absorb(solver.component_stats().since(before_synth.1));
             if let Some(t0) = synth_t0 {
                 t.synth_ns += t0.elapsed().as_nanos() as u64;
                 t.span("synthesis", t0, 0);
@@ -508,13 +519,15 @@ struct SlotResult {
     trace: SlotTrace,
 }
 
-/// Runs one scheduling quantum for `state` with a fresh deterministic
-/// per-slot solver, mirroring the sequential engine's inner loop.
-fn run_slot(engine: &Engine, mut state: ExecState) -> SlotResult {
+/// Runs one scheduling quantum for `state` on the executing thread's
+/// `solver`, mirroring the sequential engine's inner loop.
+fn run_slot(engine: &Engine, solver: &mut Solver, mut state: ExecState) -> SlotResult {
     let intern_before = engine.timing.then(intern_stats);
+    let components_before = solver.component_stats();
     let mut ctx = SlotCtx {
-        solver: Solver::new(engine.config.solver),
+        solver,
         forks: 0,
+        components_before,
         trace: SlotTrace::new(engine.timing),
     };
     let mut res = SlotResult {
@@ -555,6 +568,7 @@ fn finish_slot(
 ) -> SlotResult {
     res.forks = ctx.forks;
     res.trace = ctx.trace;
+    res.trace.components = ctx.solver.component_stats().since(ctx.components_before);
     if let Some(before) = intern_before {
         let after = intern_stats();
         res.trace.intern_hits = after.hits.saturating_sub(before.hits);
@@ -586,16 +600,22 @@ impl Workers {
         let queue = Arc::new(Mutex::new(queue));
         for _ in 0..threads {
             let (queue, done) = (Arc::clone(&queue), done.clone());
-            scope.spawn(move || loop {
-                // The lock is held while waiting: one idle worker waits on
-                // the queue, the others on the lock, and each slot wakes one.
-                let slot = queue.lock().expect("slot queue lock").recv();
-                let Ok((i, state)) = slot else { break };
-                // A panicking slot (an armed invariant) must reach the
-                // search thread, which would otherwise wait for it forever.
-                let result = catch_unwind(AssertUnwindSafe(|| run_slot(engine, state)));
-                if done.send((i, result)).is_err() {
-                    break;
+            scope.spawn(move || {
+                let mut solver = Solver::new(engine.config.solver);
+                loop {
+                    // The lock is held while waiting: one idle worker waits on
+                    // the queue, the others on the lock, and each slot wakes
+                    // one.
+                    let slot = queue.lock().expect("slot queue lock").recv();
+                    let Ok((i, state)) = slot else { break };
+                    // A panicking slot (an armed invariant) must reach the
+                    // search thread, which would otherwise wait for it
+                    // forever.
+                    let result =
+                        catch_unwind(AssertUnwindSafe(|| run_slot(engine, &mut solver, state)));
+                    if done.send((i, result)).is_err() {
+                        break;
+                    }
                 }
             });
         }
@@ -643,12 +663,14 @@ enum Feasibility {
     Unknown,
 }
 
-/// Per-slot mutable execution context: the deterministic solver, fork
+/// Per-slot mutable execution context: the executing thread's solver, fork
 /// accounting, and the slot's trace accumulator. Shared, read-only program
 /// structures live in [`Engine`].
-struct SlotCtx {
-    solver: Solver,
+struct SlotCtx<'a> {
+    solver: &'a mut Solver,
     forks: u64,
+    /// The solver's component counts when the slot started.
+    components_before: ComponentStats,
     trace: SlotTrace,
 }
 
@@ -951,7 +973,7 @@ impl Engine<'_> {
                     } = state;
                     let mut view = ConcretizingMem {
                         mem: memory,
-                        solver: &mut ctx.solver,
+                        solver: ctx.solver,
                         atoms,
                         constraints,
                     };
@@ -1247,7 +1269,7 @@ impl Engine<'_> {
                         constraints,
                         ..
                     } = state;
-                    let solver = &mut ctx.solver;
+                    let solver = &mut *ctx.solver;
                     memory.load(addr, width, &mut |e| {
                         solver.concretize(atoms, constraints, e).unwrap_or(0)
                     })
@@ -1662,6 +1684,96 @@ mod tests {
             "and others on their completed record"
         );
         assert_eq!(trace.prunes_for(PruneReason::EnvelopeUpper), 0);
+    }
+
+    #[test]
+    fn concretization_asks_the_solver_and_respects_the_path_constraint() {
+        // No catalogue NF reaches `SolverSite::Concretize`: the one native
+        // helper (the red-black fix-up) takes concrete pointers and reads
+        // pointer cells only. This NF does everything that does — on the
+        // path where 10 < port < 100 it parks the (symbolic) port in two
+        // cells, loads one byte of the first, and calls a helper with the
+        // port as argument that reads the second.
+        use castan_ir::{
+            DataMemory, FunctionBuilder, NativeHelper, NativeId, NativeRegistry, ProgramBuilder,
+            Width,
+        };
+        const BYTE_CELL: u64 = 0x1000;
+        const HELPER_CELL: u64 = 0x1040;
+        const ARG_OUT: u64 = 0x1080;
+        const READ_OUT: u64 = 0x10c0;
+
+        struct Recorder;
+        impl NativeHelper for Recorder {
+            fn call(&self, mem: &mut dyn MemAccess, args: &[u64], _: &mut dyn ExecSink) -> u64 {
+                mem.write(ARG_OUT, args[0], 8);
+                let read = mem.read(HELPER_CELL, 8);
+                mem.write(READ_OUT, read, 8);
+                0
+            }
+        }
+
+        let mut f = FunctionBuilder::new("process_packet", 0);
+        let port = f.packet_field(PacketField::DstPort);
+        let (above, inside, out) = (f.new_block(), f.new_block(), f.new_block());
+        let gt = f.cmp(CmpOp::Ugt, port, 10u64);
+        f.branch(gt, above, out);
+        f.switch_to(above);
+        let lt = f.ult(port, 100u64);
+        f.branch(lt, inside, out);
+        f.switch_to(inside);
+        f.store(BYTE_CELL, port, Width::W4);
+        f.store(HELPER_CELL, port, Width::W8);
+        let low_byte = f.load(BYTE_CELL, Width::W1);
+        let _ = f.native(NativeId(7), vec![Operand::Reg(port)]);
+        f.ret(low_byte);
+        f.switch_to(out);
+        f.ret(0u64);
+        let mut pb = ProgramBuilder::new();
+        let main = pb.add(f);
+        let mut natives = NativeRegistry::new();
+        natives.register(NativeId(7), Arc::new(Recorder));
+        let nf = NfSpec {
+            id: NfId::Nop,
+            kind: castan_nf::NfKind::Nop,
+            program: pb.finish(main),
+            natives,
+            initial_memory: DataMemory::new(),
+            data_regions: vec![],
+            hash_funcs: vec![],
+        };
+
+        let mut cfg = AnalysisConfig::quick();
+        cfg.packets = 1;
+        let (report, state, trace) =
+            Castan::new(cfg).analyze_detailed_traced(&nf, &ContentionCatalog::default());
+        let concretize = trace.site(SolverSite::Concretize);
+        assert_eq!(
+            (concretize.sat, concretize.unsat, concretize.unknown),
+            (3, 0, 0),
+            "the byte load, the helper's argument and the helper's read each ask once"
+        );
+
+        // The expensive path is the one through the helper; on it every
+        // concretised value is a port the path constraint admits.
+        let mut state = state.expect("a state completed the packet");
+        let port_atom = state.atoms.field_atom(0, PacketField::DstPort);
+        for (what, cell, width) in [
+            ("the byte-loaded cell", BYTE_CELL, 4),
+            ("the helper's argument", ARG_OUT, 8),
+            ("the cell the helper read", READ_OUT, 8),
+        ] {
+            let v = state.memory.load_concrete(cell, width);
+            assert!(
+                state
+                    .constraints
+                    .iter()
+                    .all(|c| c.holds(&|id| if id == port_atom { v } else { 0 })),
+                "{what} was concretised to {v}, which the path constraint excludes"
+            );
+            assert!(10 < v && v < 100, "{what}: {v}");
+        }
+        assert_eq!(report.packets.len(), 1);
     }
 
     #[test]

@@ -277,20 +277,36 @@ impl SymExpr {
 
     /// The atoms occurring in the expression, ascending, each once.
     pub fn atoms(&self) -> Vec<AtomId> {
-        let mut out = Vec::new();
-        self.collect_atoms(&mut out);
-        out.sort_unstable();
-        out.dedup();
-        out
+        self.atoms_and_fingerprint().0
     }
 
-    fn collect_atoms(&self, out: &mut Vec<AtomId>) {
+    /// [`SymExpr::atoms`] and a fingerprint of the expression's structure,
+    /// from one walk. The fingerprint depends on nothing but the tree —
+    /// operators, constants, atom ids, operand order; no address, no
+    /// per-process hasher state — so it is the same on every thread and in
+    /// every run.
+    fn atoms_and_fingerprint(&self) -> (Vec<AtomId>, u64) {
+        let mut atoms = Vec::new();
+        let fingerprint = self.walk(&mut atoms);
+        atoms.sort_unstable();
+        atoms.dedup();
+        (atoms, fingerprint)
+    }
+
+    fn walk(&self, atoms: &mut Vec<AtomId>) -> u64 {
         match self {
-            SymExpr::Const(_) => {}
-            SymExpr::Atom(id) => out.push(*id),
-            SymExpr::Bin(_, a, b) | SymExpr::Cmp(_, a, b) => {
-                a.collect_atoms(out);
-                b.collect_atoms(out);
+            SymExpr::Const(v) => mix(1, *v),
+            SymExpr::Atom(id) => {
+                atoms.push(*id);
+                mix(2, u64::from(*id))
+            }
+            SymExpr::Bin(op, a, b) => {
+                let (a, b) = (a.walk(atoms), b.walk(atoms));
+                mix(mix(3 | (*op as u64) << 8, a), b)
+            }
+            SymExpr::Cmp(op, a, b) => {
+                let (a, b) = (a.walk(atoms), b.walk(atoms));
+                mix(mix(4 | (*op as u64) << 8, a), b)
             }
         }
     }
@@ -303,6 +319,16 @@ impl SymExpr {
             SymExpr::Bin(_, a, b) | SymExpr::Cmp(_, a, b) => 1 + a.size() + b.size(),
         }
     }
+}
+
+/// Folds `word` into a running fingerprint `h` (the SplitMix64 finaliser
+/// over their combination: every input bit reaches every output bit, and the
+/// fold is order-sensitive).
+pub(crate) fn mix(h: u64, word: u64) -> u64 {
+    let mut z = (h.rotate_left(23) ^ word).wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 /// A boolean constraint: the expression must evaluate to non-zero (when
@@ -337,12 +363,18 @@ pub(crate) struct Conjunct {
     pub(crate) expected: bool,
     /// The atoms of `expr`, ascending, each once.
     pub(crate) atoms: Box<[AtomId]>,
+    /// Structural fingerprint of `(expr, expected)`: equal for equal
+    /// conjuncts wherever and whenever they were built. The solver seeds a
+    /// component's randomised completion from it, never compares it.
+    pub(crate) fingerprint: u64,
 }
 
 impl Conjunct {
     fn new(expr: SymExpr, expected: bool) -> Conjunct {
+        let (atoms, fingerprint) = expr.atoms_and_fingerprint();
         Conjunct {
-            atoms: expr.atoms().into(),
+            atoms: atoms.into(),
+            fingerprint: mix(fingerprint, u64::from(expected)),
             expr,
             expected,
         }
@@ -440,6 +472,12 @@ impl Constraint {
         } else {
             &self.0.split
         }
+    }
+
+    /// True if `other` is a clone of this constraint (one shared
+    /// allocation, hence the same conjuncts at the same addresses).
+    pub(crate) fn is(&self, other: &Constraint) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
     }
 
     /// Evaluates the constraint under an assignment.

@@ -69,5 +69,5 @@ pub use rss::{
     ClusterSkewReport, CrossCoreChainReport, RssSkewReport,
 };
 pub use search::{SearchScore, SearchStrategy, SearchStrategyKind};
-pub use solve::{Model, SolveOutcome, Solver, SolverStats};
+pub use solve::{ComponentStats, Model, SolveOutcome, Solver, SolverStats};
 pub use trace::{PruneReason, SearchTrace, SlotTrace, SolverSite, TraceSpan};

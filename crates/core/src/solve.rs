@@ -13,17 +13,32 @@
 //!    constraints (plus boundary values) as likely values for each atom;
 //! 3. **randomised completion** — bounded random search over the candidate
 //!    sets and the atoms' full ranges for whatever propagation leaves open.
+//!    Its generator is seeded from [`SolverConfig::seed`] and the structural
+//!    fingerprints of the conjuncts being solved, not drawn from a stream the
+//!    solver carries from query to query: what a system of conjuncts answers
+//!    then depends on that system alone — not on which queries came before
+//!    it, on which worker thread asked, or on whether the answer was
+//!    remembered.
 //!
 //! The result is either a concrete [`Model`], a proof of unsatisfiability
 //! for the trivially-contradictory cases, or `Unknown` when the search
 //! budget is exhausted (treated conservatively by callers, like a solver
 //! timeout in the original tool).
+//!
+//! Before any of that a query is sliced into independent components (KLEE's
+//! independence optimisation), and because a component's answer is a pure
+//! function of its conjuncts, the solver remembers the last few it solved
+//! (KLEE's counterexample cache, keyed exactly): the engine asks a dozen
+//! queries in a row over one path constraint with a different address pin
+//! each, and only the component the pin lands in is new.
+
+use std::collections::HashMap;
 
 use castan_ir::BinOp;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::expr::{AtomId, AtomTable, Conjunct, Constraint, SymExpr};
+use crate::expr::{mix, AtomId, AtomTable, Conjunct, Constraint, SymExpr};
 
 /// An assignment of atoms to concrete values, dense over [`AtomId`].
 ///
@@ -131,6 +146,35 @@ impl SolverStats {
     }
 }
 
+/// How often a [`Solver`] solved a component of a query and how often it
+/// reused the remembered answer of an identical one. Profiling data, unlike
+/// [`SolverStats`]: what a solver remembers depends on what it was asked
+/// before, so with several workers the split depends on scheduling (the
+/// answers do not).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ComponentStats {
+    /// Components solved.
+    pub solved: u64,
+    /// Components answered from the cache.
+    pub reused: u64,
+}
+
+impl ComponentStats {
+    /// Adds another stats block into this one.
+    pub fn absorb(&mut self, other: ComponentStats) {
+        self.solved += other.solved;
+        self.reused += other.reused;
+    }
+
+    /// The components met after an `earlier` snapshot of the same solver.
+    pub fn since(&self, earlier: ComponentStats) -> ComponentStats {
+        ComponentStats {
+            solved: self.solved.saturating_sub(earlier.solved),
+            reused: self.reused.saturating_sub(earlier.reused),
+        }
+    }
+}
+
 /// Solver configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct SolverConfig {
@@ -153,8 +197,9 @@ impl Default for SolverConfig {
 #[derive(Clone, Debug)]
 pub struct Solver {
     config: SolverConfig,
-    rng: StdRng,
     stats: SolverStats,
+    components: ComponentStats,
+    cache: ComponentCache,
     scratch: Scratch,
 }
 
@@ -168,9 +213,10 @@ impl Solver {
     /// Creates a solver.
     pub fn new(config: SolverConfig) -> Self {
         Solver {
-            rng: StdRng::seed_from_u64(config.seed),
             config,
             stats: SolverStats::default(),
+            components: ComponentStats::default(),
+            cache: ComponentCache::default(),
             scratch: Scratch::default(),
         }
     }
@@ -178,6 +224,11 @@ impl Solver {
     /// Outcome counts of every outer query this solver has answered.
     pub fn stats(&self) -> SolverStats {
         self.stats
+    }
+
+    /// Components solved and reused so far (see [`ComponentStats`]).
+    pub fn component_stats(&self) -> ComponentStats {
+        self.components
     }
 
     /// Solves the conjunction of `constraints`.
@@ -199,7 +250,8 @@ impl Solver {
             SolveOutcome::Sat(model) => {
                 self.stats.sat += 1;
                 // Self-check: the answer was assembled per conjunct and per
-                // component, so hold it against the query as it was asked.
+                // component, some of them remembered, so hold it against the
+                // query as it was asked.
                 if cfg!(debug_assertions) {
                     for (i, c) in base.iter().chain(extra).enumerate() {
                         assert!(
@@ -227,10 +279,15 @@ impl Solver {
     ) -> SolveOutcome {
         // The query is over conjuncts, which every constraint prepared at
         // construction; nothing of the (shared, long) base is re-walked here.
-        let conjuncts: Vec<&Conjunct> = base
+        let conjuncts: Vec<Asked> = base
             .iter()
             .chain(extra)
-            .flat_map(Constraint::conjuncts)
+            .flat_map(|owner| {
+                owner
+                    .conjuncts()
+                    .iter()
+                    .map(move |conjunct| Asked { conjunct, owner })
+            })
             .collect();
 
         // Trivially contradictory concrete constraints short-circuit.
@@ -255,6 +312,7 @@ impl Solver {
             partition,
             local_of,
             comp_atoms,
+            key,
             values,
             search,
         } = &mut self.scratch;
@@ -266,27 +324,51 @@ impl Solver {
         for members in partition.components() {
             comp_atoms.clear();
             comp_atoms.extend(members.iter().flat_map(|&i| conjuncts[i].atoms.iter()));
+            if comp_atoms.is_empty() {
+                continue; // a concrete conjunct, found true above
+            }
             comp_atoms.sort_unstable();
             comp_atoms.dedup();
-            for (pos, &a) in comp_atoms.iter().enumerate() {
-                local_of[a as usize] = pos;
-            }
-            let component = Component {
-                conjuncts: &conjuncts,
-                members,
-                atoms: comp_atoms,
-                local_of,
-                table: atoms,
+            // What a component answers is a function of its conjuncts, in
+            // query order, and of how wide the table says their atoms are;
+            // the key names exactly that, conjuncts by identity.
+            key.clear();
+            key.push(members.len() as u64);
+            key.extend(
+                members
+                    .iter()
+                    .map(|&i| std::ptr::from_ref(conjuncts[i].conjunct) as usize as u64),
+            );
+            key.extend(comp_atoms.iter().map(|&a| u64::from(atoms.kind(a).bits())));
+            let answer = match self.cache.get(key) {
+                Some(answer) => {
+                    self.components.reused += 1;
+                    answer
+                }
+                None => {
+                    self.components.solved += 1;
+                    for (pos, &a) in comp_atoms.iter().enumerate() {
+                        local_of[a as usize] = pos;
+                    }
+                    let component = Component {
+                        conjuncts: &conjuncts,
+                        members,
+                        atoms: comp_atoms,
+                        local_of,
+                        table: atoms,
+                    };
+                    let verdict = component.solve(search, &self.config);
+                    self.cache.insert(key, verdict, search, &component)
+                }
             };
-            match component.solve(search, &mut self.rng, self.config.random_tries) {
+            match answer.verdict {
                 Verdict::Sat => {
-                    for (&a, v) in comp_atoms.iter().zip(search.model()) {
-                        values[a as usize] = v.expect("a Sat component model is total");
+                    for (&a, &v) in comp_atoms.iter().zip(&answer.model) {
+                        values[a as usize] = v;
                     }
                 }
                 Verdict::Unsat => return SolveOutcome::Unsat,
-                // Later components are still solved: one of them may be
-                // Unsat, and their random draws are part of the stream.
+                // Later components are still looked at: one may be Unsat.
                 Verdict::Unknown => unknown = true,
             }
         }
@@ -339,6 +421,8 @@ struct Scratch {
     local_of: Vec<usize>,
     /// The current component's atoms, ascending.
     comp_atoms: Vec<AtomId>,
+    /// The current component's cache key.
+    key: Vec<u64>,
     /// The answer under construction, by `AtomId`.
     values: Vec<u64>,
     search: Search,
@@ -348,7 +432,94 @@ struct Scratch {
 /// across the whole search, not per level).
 const CANDIDATE_DFS_BUDGET: u32 = 512;
 
+/// One conjunct of a query and the constraint it is a conjunct of.
+#[derive(Clone, Copy)]
+struct Asked<'a> {
+    conjunct: &'a Conjunct,
+    owner: &'a Constraint,
+}
+
+impl std::ops::Deref for Asked<'_> {
+    type Target = Conjunct;
+
+    fn deref(&self) -> &Conjunct {
+        self.conjunct
+    }
+}
+
+/// Components remembered at once. The engine's locality is one
+/// `resolve_symbolic_address` call — a dozen queries over one path
+/// constraint — so the size hardly moves the hit rate (`nat-lb-lpm`: 90.2 %
+/// of look-ups at 256 entries, 91.2 % at 1,024, 91.6 % at 4,096); what
+/// bounds it from above is the memory the remembered constraints pin (peak
+/// RSS of the `pipeline` benchmark: +0.8 %, +1.8 %, +5.8 %).
+const CACHE_ENTRIES: usize = 1024;
+
+/// The answers to the components solved last, by what they are a function
+/// of. Only ever probed by key: nothing iterates it, so the hasher's
+/// per-process order reaches no result — and since an answer is a pure
+/// function of its key, neither does what the cache happens to hold.
+#[derive(Clone, Debug, Default)]
+struct ComponentCache {
+    entries: HashMap<Box<[u64]>, Answer>,
+}
+
+/// What a component answered.
+#[derive(Clone, Debug)]
+struct Answer {
+    verdict: Verdict,
+    /// On `Sat`, the value of each of the component's atoms, ascending.
+    model: Box<[u64]>,
+    /// The constraints whose conjuncts the key names by address. While the
+    /// entry lives they do, so no other conjunct can come to live at one of
+    /// those addresses and a key match is the identical component.
+    _pinned: Box<[Constraint]>,
+}
+
+impl ComponentCache {
+    fn get(&self, key: &[u64]) -> Option<&Answer> {
+        self.entries.get(key)
+    }
+
+    /// Remembers what `component`, solved in `search`, answered. A full
+    /// cache starts over: the components of the path constraint being asked
+    /// about are back after one query.
+    fn insert(
+        &mut self,
+        key: &[u64],
+        verdict: Verdict,
+        search: &Search,
+        component: &Component,
+    ) -> &Answer {
+        if self.entries.len() >= CACHE_ENTRIES {
+            self.entries.clear();
+        }
+        let model = match verdict {
+            Verdict::Sat => search
+                .model()
+                .iter()
+                .map(|v| v.expect("a Sat component model is total"))
+                .collect(),
+            Verdict::Unsat | Verdict::Unknown => Box::default(),
+        };
+        let mut pinned: Vec<Constraint> = Vec::with_capacity(component.members.len());
+        for &i in component.members {
+            let owner = component.conjuncts[i].owner;
+            // A constraint's conjuncts are adjacent in the query.
+            if !pinned.last().is_some_and(|last| last.is(owner)) {
+                pinned.push(owner.clone());
+            }
+        }
+        self.entries.entry(key.into()).or_insert(Answer {
+            verdict,
+            model,
+            _pinned: pinned.into(),
+        })
+    }
+}
+
 /// What [`Component::solve`] concluded.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Verdict {
     /// Satisfiable; [`Search::model`] is a total model of the component.
     Sat,
@@ -410,7 +581,7 @@ impl Search {
 /// One connected component of a query.
 struct Component<'a> {
     /// The query's conjuncts; `members` are the component's, in query order.
-    conjuncts: &'a [&'a Conjunct],
+    conjuncts: &'a [Asked<'a>],
     members: &'a [usize],
     /// The component's atoms, ascending: the positions of a local model.
     atoms: &'a [AtomId],
@@ -422,7 +593,7 @@ struct Component<'a> {
 
 impl<'a> Component<'a> {
     fn constraints(&self) -> impl Iterator<Item = &'a Conjunct> + '_ {
-        self.members.iter().map(|&i| self.conjuncts[i])
+        self.members.iter().map(|&i| self.conjuncts[i].conjunct)
     }
 
     fn get(&self, model: &[Option<u64>], id: AtomId) -> Option<u64> {
@@ -459,7 +630,7 @@ impl<'a> Component<'a> {
 
     /// Solves the component as a joint system; on `Sat` the model is level 0
     /// of `search`.
-    fn solve(&self, search: &mut Search, rng: &mut StdRng, random_tries: u32) -> Verdict {
+    fn solve(&self, search: &mut Search, config: &SolverConfig) -> Verdict {
         search.width = self.atoms.len();
         search.levels.clear();
         search.levels.resize(search.width, None);
@@ -486,8 +657,8 @@ impl<'a> Component<'a> {
         search.candidates.sort_unstable();
         search.candidates.dedup();
 
-        // Positions are in ascending atom order, so the search — and the
-        // solver's overall RNG consumption — is deterministic.
+        // Positions are in ascending atom order, so the search is
+        // deterministic.
         search.unassigned.clear();
         search
             .unassigned
@@ -521,10 +692,16 @@ impl<'a> Component<'a> {
             return Verdict::Unknown;
         }
         let tries = if covered {
-            random_tries / 8
+            config.random_tries / 8
         } else {
-            random_tries
+            config.random_tries
         };
+        // The draws are the component's own: seeded from what it consists
+        // of, so they are the same whenever and wherever it is solved.
+        let mut rng = StdRng::seed_from_u64(
+            self.constraints()
+                .fold(config.seed, |seed, c| mix(seed, c.fingerprint)),
+        );
         let width = search.width;
         for _ in 0..tries {
             let (model, trial) = search.levels.split_at_mut(width);
@@ -643,8 +820,8 @@ impl<'a> Component<'a> {
 
 /// The connected components of a query's conjuncts under the "shares an
 /// atom" relation, in first-appearance order with their members in query
-/// order, so the partition — and therefore the solver's RNG consumption —
-/// is deterministic. Atom-free (concrete) conjuncts are singletons.
+/// order, so the partition is deterministic. Atom-free (concrete) conjuncts
+/// are singletons.
 #[derive(Clone, Debug, Default)]
 struct Partition {
     /// Union–find over conjunct indices.
@@ -671,7 +848,7 @@ impl Partition {
     }
 
     /// Partitions `conjuncts`, whose atoms index a table of `n_atoms`.
-    fn split(&mut self, conjuncts: &[&Conjunct], n_atoms: usize) {
+    fn split(&mut self, conjuncts: &[Asked], n_atoms: usize) {
         let n = conjuncts.len();
         self.parent.clear();
         self.parent.extend(0..n);
@@ -1022,6 +1199,91 @@ mod tests {
             }
         );
         assert_eq!(s.stats().total(), 3);
+    }
+
+    #[test]
+    fn a_remembered_answer_never_outlives_the_constraints_its_key_names() {
+        let (t, ip, _) = atom_table();
+        let mut s = Solver::default();
+        let address = |c: &Constraint| std::ptr::from_ref(&c.conjuncts()[0]) as usize;
+        let first = eq(SymExpr::atom(ip), SymExpr::constant(5));
+        let freed = address(&first);
+        assert_eq!(s.solve(&t, &[first]).model().unwrap().get(ip), Some(5));
+        // The caller's only handle is gone. Keep building constraints of the
+        // same shape and size — the allocator's favourite candidates for the
+        // freed address — each asking for another value.
+        let mut reused_at = None;
+        for round in 0..3 * CACHE_ENTRIES {
+            let v = 6 + round as u64;
+            let c = eq(SymExpr::atom(ip), SymExpr::constant(v));
+            if address(&c) == freed {
+                reused_at.get_or_insert(round);
+            }
+            let m = s.solve(&t, &[c]).model().expect("a pin is sat");
+            assert_eq!(m.get(ip), Some(v), "round {round}: a stale answer");
+        }
+        // While the entry lived it kept the constraint, and so the address,
+        // to itself: only a cache that started over can have given it back.
+        assert!(
+            reused_at.is_none_or(|round| round >= CACHE_ENTRIES),
+            "the address came back in round {reused_at:?}, before the cache was full"
+        );
+        assert_eq!(s.component_stats().reused, 0);
+    }
+
+    #[test]
+    fn tables_that_disagree_on_a_width_do_not_share_an_answer() {
+        // Atom 0 is a 32-bit address in one table and a 16-bit port in the
+        // other; the value fits only the first.
+        let mut wide = AtomTable::new();
+        let a = wide.field_atom(0, PacketField::DstIp);
+        let mut narrow = AtomTable::new();
+        assert_eq!(narrow.field_atom(0, PacketField::DstPort), a);
+        let cs = [eq(SymExpr::atom(a), SymExpr::constant(0x12345))];
+        for tables in [[&wide, &narrow], [&narrow, &wide]] {
+            let mut s = Solver::default();
+            for table in tables {
+                let fits = std::ptr::eq(table, &wide);
+                assert_eq!(
+                    s.solve(table, &cs).model().and_then(|m| m.get(a)),
+                    fits.then_some(0x12345)
+                );
+            }
+            assert_eq!(
+                s.component_stats(),
+                ComponentStats {
+                    solved: 2,
+                    reused: 0
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn a_remembered_unsat_ends_the_query_where_a_solved_one_does() {
+        let (mut t, ip, port) = atom_table();
+        let proto = t.field_atom(0, PacketField::IpProto);
+        let last = eq(SymExpr::atom(proto), SymExpr::constant(17));
+        let cs = vec![
+            eq(SymExpr::atom(port), SymExpr::constant(80)),
+            eq(SymExpr::atom(ip), SymExpr::constant(5)),
+            eq(SymExpr::atom(ip), SymExpr::constant(9)),
+            last.clone(),
+        ];
+        let mut s = Solver::default();
+        // Solved: the component behind the contradiction is never looked at.
+        assert_eq!(s.solve(&t, &cs), SolveOutcome::Unsat);
+        let solved = s.component_stats();
+        assert_eq!((solved.solved, solved.reused), (2, 0));
+        // Remembered: the same two components, the same place to stop.
+        assert_eq!(s.solve(&t, &cs), SolveOutcome::Unsat);
+        let remembered = s.component_stats().since(solved);
+        assert_eq!((remembered.solved, remembered.reused), (0, 2));
+        assert_eq!(s.stats().unsat, 2);
+        // So the third component is news to the solver.
+        let before = s.component_stats();
+        assert!(s.solve(&t, &[last]).is_sat());
+        assert_eq!(s.component_stats().since(before).solved, 1);
     }
 
     #[test]

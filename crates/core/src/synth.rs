@@ -36,6 +36,37 @@ impl Default for SynthConfig {
     }
 }
 
+/// Where the model synthesis starts from came from: how much of the path
+/// constraint the solver could answer.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ModelSource {
+    /// The solver satisfied the whole path constraint.
+    Full,
+    /// It gave up on the whole, but satisfied the constraints that mention
+    /// packet fields only.
+    FieldOnly,
+    /// It gave up on both: every field takes its builder default.
+    Empty,
+}
+
+impl ModelSource {
+    /// Every source, in display order.
+    pub const ALL: [ModelSource; 3] = [
+        ModelSource::Full,
+        ModelSource::FieldOnly,
+        ModelSource::Empty,
+    ];
+
+    /// Stable lower-snake name (JSON keys, registry counter names).
+    pub fn name(&self) -> &'static str {
+        match self {
+            ModelSource::Full => "full_model",
+            ModelSource::FieldOnly => "field_only_model",
+            ModelSource::Empty => "empty_model",
+        }
+    }
+}
+
 /// Result of synthesis.
 #[derive(Clone, Debug)]
 pub struct Synthesis {
@@ -43,6 +74,8 @@ pub struct Synthesis {
     pub packets: Vec<Packet>,
     /// Per-havoc resolution outcomes.
     pub havoc_resolutions: Vec<HavocResolution>,
+    /// What the initial model was solved from.
+    pub model_source: ModelSource,
 }
 
 impl Synthesis {
@@ -52,6 +85,12 @@ impl Synthesis {
             .iter()
             .filter(|r| **r == HavocResolution::Reconciled)
             .count()
+    }
+
+    /// Number of havocs no tested pre-image reconciled: the packet then
+    /// hashes to something other than the value the path assumed.
+    pub fn unreconciled(&self) -> usize {
+        self.havoc_resolutions.len() - self.reconciled()
     }
 }
 
@@ -86,7 +125,7 @@ pub fn synthesize(
     cfg: &SynthConfig,
 ) -> Synthesis {
     let mut constraints = state.constraints.to_vec();
-    let mut model = best_effort_model(solver, state, &constraints);
+    let (mut model, model_source) = best_effort_model(solver, state, &constraints);
     let mut resolutions = Vec::with_capacity(state.havocs.len());
 
     // Build one inverter per hash function in use.
@@ -153,15 +192,20 @@ pub fn synthesize(
     Synthesis {
         packets,
         havoc_resolutions: resolutions,
+        model_source,
     }
 }
 
 /// Solves the path constraint, falling back to a partial model when the
 /// solver gives up (the workload is then "partially symbolic": unconstrained
 /// fields take defaults).
-fn best_effort_model(solver: &mut Solver, state: &ExecState, constraints: &[Constraint]) -> Model {
+fn best_effort_model(
+    solver: &mut Solver,
+    state: &ExecState,
+    constraints: &[Constraint],
+) -> (Model, ModelSource) {
     match solver.solve(&state.atoms, constraints) {
-        SolveOutcome::Sat(m) => m,
+        SolveOutcome::Sat(m) => (m, ModelSource::Full),
         _ => {
             // Retry with only the constraints that mention packet fields;
             // havoc-only constraints are reconciled separately anyway.
@@ -175,8 +219,8 @@ fn best_effort_model(solver: &mut Solver, state: &ExecState, constraints: &[Cons
                 .cloned()
                 .collect();
             match solver.solve(&state.atoms, &field_only) {
-                SolveOutcome::Sat(m) => m,
-                _ => Model::new(),
+                SolveOutcome::Sat(m) => (m, ModelSource::FieldOnly),
+                _ => (Model::new(), ModelSource::Empty),
             }
         }
     }

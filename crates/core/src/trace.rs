@@ -17,9 +17,10 @@
 //!   host (the engine's round/merge discipline guarantees the same
 //!   execution for any scheduling). These form the committed
 //!   `TRACE_search.json` baseline gated by the `trace-drift` check.
-//! * **Advisory data** — wall-clock phase times, chrome-trace spans, and
-//!   the per-thread `SymExpr` intern-table statistics (each worker thread
-//!   owns its own table, so totals depend on how slots were scheduled).
+//! * **Advisory data** — wall-clock phase times, chrome-trace spans, the
+//!   per-thread `SymExpr` intern-table statistics and the per-worker solver's
+//!   component solves and reuses (each worker thread owns its own table and
+//!   its own solver, so totals depend on how slots were scheduled).
 //!   Exported in the full `castan-search-trace-v1` snapshot but excluded
 //!   from the drift-gated baseline, mirroring how `bench-drift` skips
 //!   `*_wall_ms` fields.
@@ -34,7 +35,8 @@ use std::time::Instant;
 
 use castan_telemetry::{json::Json, Histogram, Registry};
 
-use crate::solve::SolverStats;
+use crate::solve::{ComponentStats, SolverStats};
+use crate::synth::{ModelSource, Synthesis};
 
 /// Which engine call-site issued a solver query.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -149,6 +151,9 @@ pub struct SlotTrace {
     pub intern_misses: u64,
     /// Advisory: the executing thread's intern-table size after the slot.
     pub intern_size: u64,
+    /// Advisory: query components the executing thread's solver solved and
+    /// reused during this slot.
+    pub components: ComponentStats,
     /// Whether wall-clock sampling is on (set iff the run is traced).
     pub timing: bool,
 }
@@ -221,6 +226,16 @@ pub struct SearchTrace {
     pub intern_misses: u64,
     /// Advisory: largest per-thread intern-table size observed.
     pub intern_size_peak: u64,
+    /// Advisory: query components solved and answered from a solver's
+    /// component cache, summed over slots, chain merge and synthesis.
+    pub components: ComponentStats,
+    /// Deterministic: synthesis runs by what their initial model was solved
+    /// from (indexed by `ModelSource::ALL` order) — how often the workload
+    /// rests on the whole path constraint, on its field constraints only,
+    /// or on builder defaults.
+    pub synth_models: [u64; ModelSource::ALL.len()],
+    /// Deterministic: havocs synthesis left unreconciled.
+    pub havocs_unreconciled: u64,
     /// Advisory: wall nanoseconds inside `run_round` (includes solving;
     /// summed over rounds).
     pub explore_ns: u64,
@@ -263,6 +278,9 @@ impl SearchTrace {
             intern_hits: 0,
             intern_misses: 0,
             intern_size_peak: 0,
+            components: ComponentStats::default(),
+            synth_models: [0; ModelSource::ALL.len()],
+            havocs_unreconciled: 0,
             explore_ns: 0,
             solve_ns: 0,
             merge_ns: 0,
@@ -290,6 +308,17 @@ impl SearchTrace {
     /// Adds a solver-stats delta to a call-site's outcome counts.
     pub fn record_site(&mut self, site: SolverSite, delta: SolverStats) {
         self.solver[site as usize].absorb(delta);
+    }
+
+    /// Records what one synthesis run had to fall back on.
+    pub fn record_synthesis(&mut self, synth: &Synthesis) {
+        self.synth_models[synth.model_source as usize] += 1;
+        self.havocs_unreconciled += synth.unreconciled() as u64;
+    }
+
+    /// Synthesis runs whose initial model came from `source`.
+    pub fn synth_models_from(&self, source: ModelSource) -> u64 {
+        self.synth_models[source as usize]
     }
 
     /// A call-site's outcome counts.
@@ -338,6 +367,7 @@ impl SearchTrace {
         self.intern_hits += slot.intern_hits;
         self.intern_misses += slot.intern_misses;
         self.intern_size_peak = self.intern_size_peak.max(slot.intern_size);
+        self.components.absorb(slot.components);
     }
 
     /// Sums another trace into this one (labels are joined; histograms
@@ -374,6 +404,11 @@ impl SearchTrace {
         self.intern_hits += other.intern_hits;
         self.intern_misses += other.intern_misses;
         self.intern_size_peak = self.intern_size_peak.max(other.intern_size_peak);
+        self.components.absorb(other.components);
+        for (a, b) in self.synth_models.iter_mut().zip(other.synth_models) {
+            *a += b;
+        }
+        self.havocs_unreconciled += other.havocs_unreconciled;
         self.explore_ns += other.explore_ns;
         self.solve_ns += other.solve_ns;
         self.merge_ns += other.merge_ns;
@@ -413,8 +448,8 @@ impl SearchTrace {
 
     /// The deterministic counter surface as a JSON object: exactly the
     /// fields the committed `TRACE_search.json` baseline pins and the
-    /// `trace-drift` check compares. Wall-clock, span, and intern fields
-    /// are deliberately absent.
+    /// `trace-drift` check compares. Wall-clock, span, intern and
+    /// component-cache fields are deliberately absent.
     pub fn deterministic_json(&self) -> Json {
         let mut witness = Json::obj()
             .with("hits", Json::U64(self.witness_hits))
@@ -445,6 +480,11 @@ impl SearchTrace {
         for reason in PruneReason::ALL {
             prunes.set(reason.name(), Json::U64(self.prunes_for(reason)));
         }
+        let mut synthesis = Json::obj();
+        for source in ModelSource::ALL {
+            synthesis.set(source.name(), Json::U64(self.synth_models_from(source)));
+        }
+        synthesis.set("havocs_unreconciled", Json::U64(self.havocs_unreconciled));
         let mut doc = Json::obj()
             .with("rounds", Json::U64(self.rounds))
             .with("frontier_peak", Json::U64(self.frontier_peak))
@@ -461,6 +501,7 @@ impl SearchTrace {
         doc.with("witness", witness)
             .with("solver", solver)
             .with("prunes", prunes)
+            .with("synthesis", synthesis)
     }
 
     /// Renders the full `castan-search-trace-v1` snapshot: the
@@ -472,6 +513,8 @@ impl SearchTrace {
             .with("intern_hits", Json::U64(self.intern_hits))
             .with("intern_misses", Json::U64(self.intern_misses))
             .with("intern_size_peak", Json::U64(self.intern_size_peak))
+            .with("components_solved", Json::U64(self.components.solved))
+            .with("components_reused", Json::U64(self.components.reused))
             .with("explore_wall_ms", Json::fixed(ms(self.explore_ns), 3))
             .with("solve_wall_ms", Json::fixed(ms(self.solve_ns), 3))
             .with("merge_wall_ms", Json::fixed(ms(self.merge_ns), 3))
@@ -537,6 +580,18 @@ impl SearchTrace {
         reg.count("search.intern.hits", self.intern_hits);
         reg.count("search.intern.misses", self.intern_misses);
         reg.gauge("search.intern.size_peak", self.intern_size_peak as f64);
+        reg.count("search.components.solved", self.components.solved);
+        reg.count("search.components.reused", self.components.reused);
+        for source in ModelSource::ALL {
+            reg.count(
+                &format!("search.synthesis.{}", source.name()),
+                self.synth_models_from(source),
+            );
+        }
+        reg.count(
+            "search.synthesis.havocs_unreconciled",
+            self.havocs_unreconciled,
+        );
     }
 }
 

@@ -1,10 +1,22 @@
-//! Host-speed work inside `castan-core::solve` must be invisible to every
-//! caller: same verdict, same model, same position in the solver's random
-//! stream after every query. This runs a fixed-seed generated corpus of
-//! queries in sequence on *one* [`Solver`] — so a single extra or missing
-//! random draw in query k shifts every randomised answer after it — and
-//! compares each answer against digests captured at commit 19ce1bd, before
-//! the query path was rewritten.
+//! What `castan-core::solve` answers is pinned twice over a fixed-seed
+//! generated corpus of queries.
+//!
+//! **Against history.** Every answer is compared with digests captured at
+//! commit 19ce1bd, before the query path was rewritten for speed. A query
+//! that never reaches the randomised completion must still answer exactly
+//! that. One that does reach it answers differently since the completion
+//! stopped drawing from a stream the solver carried from query to query and
+//! draws from a generator seeded by the component itself: those answers
+//! were captured once, at the commit that made the change, and are listed
+//! apart ([`RESEEDED`]) — and the test checks that every query on that list
+//! contains a block that can reach the completion, so the list cannot hide
+//! a change to anything else.
+//!
+//! **Against itself.** What replaced "the same position in the random
+//! stream" is purity: a query's verdict and model are the same on a fresh
+//! solver, after any prefix of the corpus, with the corpus in another
+//! order, and whether the solver's component cache is cold, warm, or was
+//! made to start over in the middle.
 //!
 //! The corpus is built from *blocks*, each over its own atoms, so a query of
 //! several blocks is a multi-component system in block order. Together the
@@ -239,7 +251,7 @@ fn block(kind: u64, g: &mut Gen, t: &AtomTable, free: &mut Vec<AtomId>, out: &mu
         }
         // A thin hash-bucket inequality: few candidates land in it, so the
         // answer usually comes from a full-range random draw — the models
-        // that pin the solver's position in its random stream.
+        // that pin which draws the randomised completion makes.
         18 => {
             let bucket = bin(
                 BinOp::And,
@@ -288,101 +300,234 @@ fn model_words<'a>(t: &'a AtomTable, m: &'a Model) -> impl Iterator<Item = u64> 
     })
 }
 
-/// Runs the corpus; one digest and one verdict letter per query.
-fn run_corpus() -> (Vec<u64>, String, SolverStats) {
-    let t = table();
+/// How a query is put to the solver.
+enum Ask {
+    /// `solve_with_extra`: the constraints from this index on are `extra`.
+    Extra(usize),
+    /// `concretize` this expression under the constraints.
+    Concretize(SymExpr),
+    Solve,
+}
+
+struct Query {
+    cs: Vec<Constraint>,
+    ask: Ask,
+    /// The block kinds the query was built from.
+    kinds: Vec<u64>,
+}
+
+/// The corpus. It is built once per test and asked in whatever order: the
+/// solver remembers components by the identity of their constraints, so
+/// asking the *same* objects again is what a warm cache means.
+fn corpus(t: &AtomTable) -> Vec<Query> {
     let mut g = Gen(20_180_820);
-    let mut solver = Solver::default();
-    let mut digests = Vec::with_capacity(QUERIES);
-    let mut verdicts = String::with_capacity(QUERIES);
-    for q in 0..QUERIES {
-        let mut free: Vec<AtomId> = t.ids().collect();
-        let mut cs: Vec<Constraint> = Vec::new();
-        // Every ninth query puts a component that ends `Unknown` first and
-        // an `Unsat` or a `Sat` one behind it; the rest draw 1–4 blocks,
-        // one in four of them a random-draw block (18, 19). The last eight
-        // are nothing else, so the stream's final position is pinned too.
-        let kinds: Vec<u64> = match q % 9 {
-            _ if q + 8 >= QUERIES => vec![18 + g.below(2)],
-            0 => vec![10, [6, 0, 8][q / 9 % 3], 18],
-            4 => vec![7, 19, [6, 11][q / 9 % 2]],
-            _ => (0..1 + g.below(4))
-                .map(|_| match g.below(4) {
-                    0 => 18 + g.below(2),
-                    _ => g.below(BLOCK_KINDS),
-                })
-                .collect(),
-        };
-        for kind in kinds {
-            block(kind, &mut g, &t, &mut free, &mut cs);
-        }
-        let words = match g.below(20) {
-            // `solve_with_extra`: the tail of the system arrives as `extra`.
-            0..=6 => {
-                let split = g.below(cs.len() as u64 + 1) as usize;
-                let (base, extra) = cs.split_at(split);
-                outcome_words(&t, &solver.solve_with_extra(&t, base, extra))
+    (0..QUERIES)
+        .map(|q| {
+            let mut free: Vec<AtomId> = t.ids().collect();
+            let mut cs: Vec<Constraint> = Vec::new();
+            // Every ninth query puts a component that ends `Unknown` first
+            // and an `Unsat` or a `Sat` one behind it; the rest draw 1–4
+            // blocks, one in four of them a random-draw block (18, 19). The
+            // last eight are nothing else.
+            let kinds: Vec<u64> = match q % 9 {
+                _ if q + 8 >= QUERIES => vec![18 + g.below(2)],
+                0 => vec![10, [6, 0, 8][q / 9 % 3], 18],
+                4 => vec![7, 19, [6, 11][q / 9 % 2]],
+                _ => (0..1 + g.below(4))
+                    .map(|_| match g.below(4) {
+                        0 => 18 + g.below(2),
+                        _ => g.below(BLOCK_KINDS),
+                    })
+                    .collect(),
+            };
+            for &kind in &kinds {
+                block(kind, &mut g, t, &mut free, &mut cs);
             }
-            // `concretize` an expression over two atoms of the table.
-            7..=9 => {
-                let (x, y) = (
-                    g.below(t.len() as u64) as AtomId,
-                    g.below(t.len() as u64) as AtomId,
-                );
-                let e = bin(BinOp::Xor, bin(BinOp::Shr, atom(x), k(3)), atom(y));
-                match solver.concretize(&t, &cs, &e) {
-                    Some(v) => vec![3, v],
-                    None => vec![4],
+            let ask = match g.below(20) {
+                0..=6 => Ask::Extra(g.below(cs.len() as u64 + 1) as usize),
+                7..=9 => {
+                    let (x, y) = (
+                        g.below(t.len() as u64) as AtomId,
+                        g.below(t.len() as u64) as AtomId,
+                    );
+                    Ask::Concretize(bin(BinOp::Xor, bin(BinOp::Shr, atom(x), k(3)), atom(y)))
                 }
-            }
-            _ => outcome_words(&t, &solver.solve(&t, &cs)),
-        };
-        verdicts.push(match words[0] {
-            0 => 'S',
-            1 => 'U',
-            2 => '?',
-            3 => 'c',
-            _ => 'n',
-        });
-        digests.push(digest(words));
-    }
-    (digests, verdicts, solver.stats())
+                _ => Ask::Solve,
+            };
+            Query { cs, ask, kinds }
+        })
+        .collect()
+}
+
+/// One query's answer: a verdict letter (`S`at, `U`nsat, `?` unknown,
+/// `c`oncretized, `n`o value) and the digest of the verdict with its model
+/// (every atom of the table) or value.
+fn ask(solver: &mut Solver, t: &AtomTable, query: &Query) -> (char, u64) {
+    let words = match &query.ask {
+        Ask::Extra(split) => {
+            let (base, extra) = query.cs.split_at(*split);
+            outcome_words(t, &solver.solve_with_extra(t, base, extra))
+        }
+        Ask::Concretize(e) => match solver.concretize(t, &query.cs, e) {
+            Some(v) => vec![3, v],
+            None => vec![4],
+        },
+        Ask::Solve => outcome_words(t, &solver.solve(t, &query.cs)),
+    };
+    (['S', 'U', '?', 'c', 'n'][words[0] as usize], digest(words))
+}
+
+/// The blocks a draw of the randomised completion can satisfy: the thin
+/// buckets. (The needle, 10, and the four-atom sum, 13, get that far too,
+/// but no draw ever hits them: they answer `?` whatever the seed.)
+fn can_draw(query: &Query) -> bool {
+    query.kinds.iter().any(|k| matches!(k, 18 | 19))
 }
 
 #[test]
-fn every_query_answers_what_the_parent_commit_answered() {
-    let (digests, verdicts, stats) = run_corpus();
-    assert_eq!(verdicts, EXPECTED_VERDICTS, "a verdict changed");
-    let valued = (0..QUERIES).filter(|&q| matches!(&verdicts[q..=q], "S" | "c"));
-    for (q, want) in valued.zip(EXPECTED_DIGESTS) {
-        assert_eq!(
-            digests[q],
-            want,
-            "query {q} ({}): same verdict, different model — or a different \
-             position in the random stream inherited from an earlier query",
-            &verdicts[q..=q]
-        );
+fn every_query_answers_what_19ce1bd_answered_unless_it_draws() {
+    let t = table();
+    let corpus = corpus(&t);
+    let mut solver = Solver::default();
+    let answers: Vec<(char, u64)> = corpus.iter().map(|q| ask(&mut solver, &t, q)).collect();
+
+    let mut reseeded = RESEEDED.iter().peekable();
+    let mut old_digests = DIGESTS_AT_19CE1BD.iter();
+    let mut untouched_draws = 0;
+    for (q, (&(verdict, got), old_verdict)) in
+        answers.iter().zip(VERDICTS_AT_19CE1BD.chars()).enumerate()
+    {
+        // 19ce1bd's digest list has one entry per answer that carried a
+        // model or a value there.
+        let old_digest = matches!(old_verdict, 'S' | 'c').then(|| *old_digests.next().unwrap());
+        let carries = matches!(verdict, 'S' | 'c');
+        match reseeded.next_if(|r| r.0 == q) {
+            None => {
+                assert_eq!(verdict, old_verdict, "query {q}: the verdict changed");
+                if carries {
+                    assert_eq!(
+                        Some(got),
+                        old_digest,
+                        "query {q} ({verdict}): the model changed"
+                    );
+                }
+                untouched_draws += usize::from(can_draw(&corpus[q]));
+            }
+            Some(&(_, new_verdict, new_digest)) => {
+                assert!(
+                    can_draw(&corpus[q]),
+                    "query {q} is listed as reseeded but no block of it ({:?}) draws",
+                    corpus[q].kinds
+                );
+                assert!(
+                    new_verdict != old_verdict || Some(new_digest) != old_digest,
+                    "query {q} is listed as reseeded but answers what 19ce1bd did"
+                );
+                assert_eq!(verdict, new_verdict, "query {q}: the verdict changed");
+                if carries {
+                    assert_eq!(got, new_digest, "query {q} ({verdict}): the model changed");
+                }
+            }
+        }
     }
+    assert!(reseeded.next().is_none(), "RESEEDED is not in query order");
     assert_eq!(
-        stats,
+        solver.stats(),
         SolverStats {
-            sat: EXPECTED_STATS[0],
-            unsat: EXPECTED_STATS[1],
-            unknown: EXPECTED_STATS[2],
+            sat: STATS[0],
+            unsat: STATS[1],
+            unknown: STATS[2],
         }
     );
-    // The corpus is only a pin if it reaches every kind of answer.
+    // The corpus is only a pin if it reaches every kind of answer, and the
+    // history half only if queries that may draw are on both sides of it.
     for (letter, at_least) in [('S', 60), ('U', 40), ('?', 40), ('c', 10), ('n', 10)] {
-        let n = verdicts.chars().filter(|c| *c == letter).count();
+        let n = answers.iter().filter(|a| a.0 == letter).count();
         assert!(n >= at_least, "only {n} '{letter}' answers in the corpus");
+    }
+    assert!(RESEEDED.len() >= 30 && untouched_draws >= 30);
+}
+
+/// Asks distinct one-constraint queries until the solver has dropped what it
+/// remembered: a probe it answered from memory is solved again.
+fn make_it_forget(solver: &mut Solver, t: &AtomTable) {
+    let probe = [eq(atom(0), k(1))];
+    solver.solve(t, &probe);
+    let solved_again = |solver: &mut Solver| {
+        let before = solver.component_stats();
+        solver.solve(t, &probe);
+        solver.component_stats().since(before).solved == 1
+    };
+    assert!(!solved_again(solver), "the probe was not remembered");
+    for filler in 2..1 << 16 {
+        solver.solve(t, &[eq(atom(0), k(filler))]);
+        if solved_again(solver) {
+            return;
+        }
+    }
+    panic!("65,534 distinct components later the solver still remembers the first");
+}
+
+#[test]
+fn an_answer_depends_on_the_query_alone() {
+    let t = table();
+    let corpus = corpus(&t);
+    // Cold: every query on a solver of its own.
+    let alone: Vec<(char, u64)> = corpus
+        .iter()
+        .map(|q| ask(&mut Solver::default(), &t, q))
+        .collect();
+    let check = |what: &str, q: usize, got: (char, u64)| {
+        assert_eq!(
+            got, alone[q],
+            "query {q} {what} answers differently than alone"
+        );
+    };
+
+    // After every prefix of the corpus, then warm: a second pass over the
+    // same constraint objects is answered from memory (all of it while the
+    // corpus fits the cache; the bar leaves room for a smaller one).
+    let mut solver = Solver::default();
+    for (q, query) in corpus.iter().enumerate() {
+        check(
+            "after the queries before it",
+            q,
+            ask(&mut solver, &t, query),
+        );
+    }
+    let first_pass = solver.component_stats();
+    assert_eq!(first_pass.reused, 0, "no two queries share a constraint");
+    for (q, query) in corpus.iter().enumerate() {
+        check("asked a second time", q, ask(&mut solver, &t, query));
+    }
+    let second_pass = solver.component_stats().since(first_pass);
+    assert!(
+        second_pass.reused > 3 * second_pass.solved,
+        "a second pass mostly re-solved: {second_pass:?}"
+    );
+
+    // Shuffled, on one solver that is made to forget everything three times
+    // on the way.
+    let mut g = Gen(7);
+    let mut order: Vec<usize> = (0..QUERIES).collect();
+    for i in (1..QUERIES).rev() {
+        order.swap(i, g.below(i as u64 + 1) as usize);
+    }
+    let mut solver = Solver::default();
+    for (n, &q) in order.iter().enumerate() {
+        if n % 100 == 50 {
+            make_it_forget(&mut solver, &t);
+        }
+        check("in a shuffled corpus", q, ask(&mut solver, &t, &corpus[q]));
     }
 }
 
-/// `SolverStats` after the last query: sat, unsat, unknown.
-const EXPECTED_STATS: [u64; 3] = [125, 55, 180];
+/// `SolverStats` after the last query: sat, unsat, unknown (as of the commit
+/// that reseeded the completion; 125, 55, 180 at 19ce1bd).
+const STATS: [u64; 3] = [126, 55, 179];
 
-/// One letter per query: `S`at, `U`nsat, `?` unknown, `c`oncretized, `n`o value.
-const EXPECTED_VERDICTS: &str = "\
+/// One letter per query, as answered at 19ce1bd.
+const VERDICTS_AT_19CE1BD: &str = "\
     nSnnn???S??cc??S?S?cS?U?SSUU?cS?n????S?UUn?S??S?S??SSSUS?nUn\
     c?????n?S??c???SUU??UUn?Sn?????U??USSnSn?????SS?U??Sn?S??n?S\
     n??S???cS?n??USUcS??S?US?S??Un?SS??SS????cU?ccUUS?S?SSS?S?SS\
@@ -391,10 +536,10 @@ const EXPECTED_VERDICTS: &str = "\
     S?SSSS????n??S???SS?SS??U?S?U?U???ScS??Sn??Sn?n??USUSSSSSSSc\
 ";
 
-/// One digest per answer that carries a model (every atom of the table) or a
-/// value — the `S` and `c` queries — in query order.
+/// One digest per answer that carried a model or a value at 19ce1bd — its
+/// `S` and `c` queries — in query order.
 #[rustfmt::skip]
-const EXPECTED_DIGESTS: [u64; 125] = [
+const DIGESTS_AT_19CE1BD: [u64; 125] = [
     0x2c6dd297545d45c3, 0x2fae81e860d4267d, 0x0835ee07b4ee5316, 0x0835ee07b4ee5316,
     0xcbcec95f5c9a6d13, 0x98e5a518ec09a477, 0x08212607b4cb033e, 0x635ab0db3454b3b3,
     0x13c01473f2f18365, 0x307984b4c38a7d8f, 0x415cfa5c2629e676, 0xe4d60dbfb6f2e45c,
@@ -427,4 +572,28 @@ const EXPECTED_DIGESTS: [u64; 125] = [
     0x830f70bea09f32be, 0x8397eb53f284a28b, 0xe519b96adecb975d, 0x571e99f6bf22007d,
     0xe16b74f4572e5a92, 0x5b0723ca680f4c14, 0xddb8dab1cb8e9521, 0xf336989e7fab7a72,
     0x0835ee07b4ee5316,
+];
+
+/// The queries that answer differently since the randomised completion is
+/// seeded by the component: query, verdict, digest (0 without a model or
+/// value). Captured once, at the commit that reseeded it.
+#[rustfmt::skip]
+const RESEEDED: [(usize, char, u64); 51] = [
+    (20, 'S', 0x48853f94b005482b), (21, 'S', 0xf02cde02661644d8), (30, 'S', 0xf320bf23acec7ebe),
+    (35, 'S', 0xd35d6f9d080a19fb), (44, 'S', 0x23241e6239ce6c53), (46, '?', 0x0000000000000000),
+    (47, 'S', 0x9b51e129234681bf), (53, '?', 0x0000000000000000), (79, 'S', 0xf54d5e679b4a61b5),
+    (95, '?', 0x0000000000000000), (96, 'S', 0x463a80db9f51db96), (98, 'S', 0x2a4076f2362db8db),
+    (101, 'S', 0xe2b5f45ba70aa282), (104, 'S', 0x63f1ccb607905b1b), (106, 'S', 0x82dd844edc7f9dfb),
+    (118, 'S', 0x7cec710c67a1c7d3), (146, 'S', 0x7a0e0fd9123a1ef4), (164, 'n', 0x0000000000000000),
+    (182, '?', 0x0000000000000000), (186, 'S', 0x6ad2d641a6e00404), (188, '?', 0x0000000000000000),
+    (190, 'S', 0x2968d4e072cf86e0), (192, '?', 0x0000000000000000), (195, 'S', 0x2f3b9a5b2539ca92),
+    (224, 'S', 0x1726803f5737903f), (227, 'S', 0x3a6fbb9f86ead85b), (232, 'S', 0xbc4a67c36f27042d),
+    (246, 'S', 0x42938774accc4234), (251, '?', 0x0000000000000000), (254, 'S', 0xfec3720f45e1dfe0),
+    (259, 'n', 0x0000000000000000), (264, 'S', 0x94ec45425f0f575b), (269, 'S', 0xff51362074ec5776),
+    (277, 'n', 0x0000000000000000), (281, 'S', 0x41509de01600aaa2), (287, 'S', 0xe17b448497499852),
+    (290, 'c', 0x0874a907b558ead7), (295, 'S', 0xd0a12314839ad6d5), (298, 'S', 0xd31a1c03621f5138),
+    (302, 'S', 0xf62948a74238597e), (304, '?', 0x0000000000000000), (309, 'S', 0x52612edea693b212),
+    (326, 'S', 0x8d3a75ebb415a7ae), (334, 'S', 0x6a5fcbb5838b9835), (352, 'S', 0x10488ce33a3b18f6),
+    (354, '?', 0x0000000000000000), (355, '?', 0x0000000000000000), (356, 'S', 0x4f542900403ab8f4),
+    (357, 'S', 0xa5c9398c33acfa1b), (358, 'S', 0x36d9f379b429e8b8), (359, 'n', 0x0000000000000000),
 ];

@@ -2699,6 +2699,7 @@ fn search_profile_docs() -> (String, String, Table) {
 
     // Per-strategy aggregates, split nf vs chain: merge the run traces and
     // summarise the solver mix, witness cache, and prune reasons.
+    use castan_core::synth::ModelSource;
     use castan_core::PruneReason;
     let mut rows = Vec::new();
     for strategy in SearchStrategyKind::ALL {
@@ -2729,6 +2730,14 @@ fn search_profile_docs() -> (String, String, Table) {
                     m.prunes_for(PruneReason::EnvelopeUpper),
                 ),
                 m.truncated.to_string(),
+                format!(
+                    "{}/{}/{} · {}",
+                    m.synth_models_from(ModelSource::Full),
+                    m.synth_models_from(ModelSource::FieldOnly),
+                    m.synth_models_from(ModelSource::Empty),
+                    m.havocs_unreconciled,
+                ),
+                format!("{}/{}", m.components.solved, m.components.reused),
             ]);
         }
     }
@@ -2745,6 +2754,8 @@ fn search_profile_docs() -> (String, String, Table) {
             "Witness hit rate".into(),
             "Prunes compl/in-flight/env".into(),
             "Truncated".into(),
+            "Models full/field/empty · havocs unreconciled".into(),
+            "Components solved/reused".into(),
         ],
         rows,
     };

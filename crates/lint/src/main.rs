@@ -13,7 +13,9 @@
 //! This lint greps the workspace sources for those patterns. Every match
 //! must either be removed or be justified by an entry in `LINT_ALLOW.txt`
 //! at the repo root (`<path-suffix>: <rule> # <reason>`), which doubles as
-//! an audit trail of reviewed sites. Test modules (everything from the
+//! an audit trail of reviewed sites — and stays one: an entry that matches
+//! no site any more (the code it excused is gone) fails the lint too. Test
+//! modules (everything from the
 //! first `#[cfg(test)]` line on) are exempt: tests may use maps and clocks
 //! freely. CI runs the binary; `cargo test -p castan-lint` runs the same
 //! scan in-process so the gate also fires locally.
@@ -85,20 +87,40 @@ impl fmt::Display for Finding {
 
 /// An allowlist entry: `<path-suffix>: <rule>` (comment after `#`).
 struct Allow {
+    /// Line of `LINT_ALLOW.txt` the entry is on.
+    line: usize,
     path_suffix: String,
     rule: String,
+}
+
+impl Allow {
+    fn covers(&self, finding: &Finding) -> bool {
+        self.rule == finding.rule && finding.path.ends_with(&self.path_suffix)
+    }
+}
+
+impl fmt::Display for Allow {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "LINT_ALLOW.txt:{}: `{}: {}` matches no site",
+            self.line, self.path_suffix, self.rule
+        )
+    }
 }
 
 fn parse_allowlist(content: &str) -> Vec<Allow> {
     content
         .lines()
-        .filter_map(|line| {
+        .enumerate()
+        .filter_map(|(idx, line)| {
             let line = line.split('#').next().unwrap_or("").trim();
             if line.is_empty() {
                 return None;
             }
             let (path, rule) = line.split_once(':')?;
             Some(Allow {
+                line: idx + 1,
                 path_suffix: path.trim().to_string(),
                 rule: rule.trim().to_string(),
             })
@@ -106,10 +128,41 @@ fn parse_allowlist(content: &str) -> Vec<Allow> {
         .collect()
 }
 
-fn is_allowed(allows: &[Allow], finding: &Finding) -> bool {
-    allows
-        .iter()
-        .any(|a| a.rule == finding.rule && finding.path.ends_with(&a.path_suffix))
+/// What a scan found wrong: sites no entry allows, and entries that allow
+/// no site.
+struct Verdict {
+    bad: Vec<Finding>,
+    stale: Vec<Allow>,
+}
+
+impl Verdict {
+    fn is_clean(&self) -> bool {
+        self.bad.is_empty() && self.stale.is_empty()
+    }
+}
+
+/// Holds the scan's `findings` against the allowlist.
+fn judge(allows: Vec<Allow>, findings: Vec<Finding>) -> Verdict {
+    let mut used = vec![false; allows.len()];
+    let mut bad = Vec::new();
+    for finding in findings {
+        let mut allowed = false;
+        for (allow, used) in allows.iter().zip(&mut used) {
+            if allow.covers(&finding) {
+                allowed = true;
+                *used = true;
+            }
+        }
+        if !allowed {
+            bad.push(finding);
+        }
+    }
+    let stale = allows
+        .into_iter()
+        .zip(used)
+        .filter_map(|(allow, used)| (!used).then_some(allow))
+        .collect();
+    Verdict { bad, stale }
 }
 
 /// Directories never scanned: build output, vendored dependency shims (their
@@ -170,14 +223,14 @@ fn scan_source(path: &str, content: &str) -> Vec<Finding> {
     findings
 }
 
-/// Runs the full scan rooted at `root`; returns unallowlisted findings.
-fn run(root: &Path) -> Vec<Finding> {
+/// Runs the full scan rooted at `root` and holds it against the allowlist.
+fn run(root: &Path) -> Verdict {
     let allows = fs::read_to_string(root.join("LINT_ALLOW.txt"))
         .map(|c| parse_allowlist(&c))
         .unwrap_or_default();
     let mut files = Vec::new();
     collect_rs_files(root, &mut files);
-    let mut bad = Vec::new();
+    let mut findings = Vec::new();
     for file in files {
         let Ok(content) = fs::read_to_string(&file) else {
             continue;
@@ -187,13 +240,9 @@ fn run(root: &Path) -> Vec<Finding> {
             .unwrap_or(&file)
             .to_string_lossy()
             .replace('\\', "/");
-        for finding in scan_source(&rel, &content) {
-            if !is_allowed(&allows, &finding) {
-                bad.push(finding);
-            }
-        }
+        findings.extend(scan_source(&rel, &content));
     }
-    bad
+    judge(allows, findings)
 }
 
 fn repo_root() -> PathBuf {
@@ -205,20 +254,30 @@ fn main() -> ExitCode {
         .nth(1)
         .map(PathBuf::from)
         .unwrap_or_else(repo_root);
-    let bad = run(&root);
-    if bad.is_empty() {
+    let verdict = run(&root);
+    if verdict.is_clean() {
         println!("castan-lint: clean");
         return ExitCode::SUCCESS;
     }
-    eprintln!("castan-lint: {} determinism finding(s):", bad.len());
-    for f in &bad {
-        eprintln!("  {f}");
-    }
-    eprintln!("fix the site or add a reviewed entry to LINT_ALLOW.txt");
-    for rule in RULES {
-        if bad.iter().any(|f| f.rule == rule.name) {
-            eprintln!("note: [{}] {}", rule.name, rule.why);
+    let Verdict { bad, stale } = verdict;
+    if !bad.is_empty() {
+        eprintln!("castan-lint: {} determinism finding(s):", bad.len());
+        for f in &bad {
+            eprintln!("  {f}");
         }
+        eprintln!("fix the site or add a reviewed entry to LINT_ALLOW.txt");
+        for rule in RULES {
+            if bad.iter().any(|f| f.rule == rule.name) {
+                eprintln!("note: [{}] {}", rule.name, rule.why);
+            }
+        }
+    }
+    if !stale.is_empty() {
+        eprintln!("castan-lint: {} stale allowlist entr(ies):", stale.len());
+        for a in &stale {
+            eprintln!("  {a}");
+        }
+        eprintln!("the site an entry excused is gone: drop the entry");
     }
     ExitCode::FAILURE
 }
@@ -229,12 +288,15 @@ mod tests {
 
     #[test]
     fn workspace_is_clean() {
-        let bad = run(&repo_root());
+        let verdict = run(&repo_root());
         assert!(
-            bad.is_empty(),
+            verdict.is_clean(),
             "determinism lint findings:\n{}",
-            bad.iter()
+            verdict
+                .bad
+                .iter()
                 .map(|f| format!("  {f}"))
+                .chain(verdict.stale.iter().map(|a| format!("  {a}")))
                 .collect::<Vec<_>>()
                 .join("\n")
         );
@@ -283,13 +345,39 @@ mod tests {
             rule: "hash-iteration",
             text: String::new(),
         };
-        assert!(is_allowed(&allows, &f));
+        assert!(allows[0].covers(&f));
         let g = Finding {
             path: "crates/ir/src/cfg.rs".into(),
             line: 1,
             rule: "wall-clock",
             text: String::new(),
         };
-        assert!(!is_allowed(&allows, &g));
+        assert!(!allows[0].covers(&g));
+    }
+
+    #[test]
+    fn an_entry_that_matches_no_site_is_reported() {
+        let allows = parse_allowlist(
+            "ir/src/cfg.rs: hash-iteration # still a map there\n\
+             # a comment line does not shift the numbering\n\
+             core/src/solve.rs: hash-iteration # the maps this excused are gone\n\
+             ir/src/cfg.rs: wall-clock # right file, wrong rule\n",
+        );
+        let findings = scan_source(
+            "crates/ir/src/cfg.rs",
+            "use std::collections::HashMap;\nlet m: HashMap<u32, u32> = HashMap::new();\n",
+        );
+        assert_eq!(findings.len(), 2);
+        let verdict = judge(allows, findings);
+        assert!(verdict.bad.is_empty(), "both sites are allowed");
+        let stale: Vec<String> = verdict.stale.iter().map(Allow::to_string).collect();
+        assert_eq!(
+            stale,
+            [
+                "LINT_ALLOW.txt:3: `core/src/solve.rs: hash-iteration` matches no site",
+                "LINT_ALLOW.txt:4: `ir/src/cfg.rs: wall-clock` matches no site",
+            ]
+        );
+        assert!(!verdict.is_clean());
     }
 }

@@ -539,7 +539,10 @@ proptest! {
 
     /// For a fixed seed the analysis report is identical — packet bytes,
     /// metrics, and exploration counters — no matter how many worker
-    /// threads execute the rounds.
+    /// threads execute the rounds, each behind a solver of its own that
+    /// answers most components from what it remembers of earlier queries:
+    /// which worker remembers what depends on the scheduling, what a query
+    /// answers must not.
     #[test]
     fn reports_are_byte_identical_across_thread_counts(seed in 0u64..1_000) {
         use castan_suite::analysis::engine::AnalysisConfig;
@@ -554,7 +557,12 @@ proptest! {
             cfg.step_budget = 10_000;
             cfg.solver.seed = seed;
             cfg.threads = threads;
-            let r = Castan::new(cfg).analyze(&nf, &catalog);
+            let (r, trace) = Castan::new(cfg).analyze_traced(&nf, &catalog);
+            let components = trace.components;
+            assert!(
+                components.reused > components.solved,
+                "{threads} threads: the component caches are not at work ({components:?})"
+            );
             let wire: Vec<Vec<u8>> = r.packets.iter().map(|p| p.to_bytes()).collect();
             format!(
                 "{wire:?} {:?} {} {} {} {} {} {}",
