@@ -5,6 +5,7 @@ use std::hint::black_box;
 
 use castan_core::expr::Constraint;
 use castan_core::rainbow::{ExhaustiveInverter, FlowKeySpace, HashInverter, RainbowTable};
+use castan_core::state::ConstraintSet;
 use castan_core::{AnalysisConfig, AtomTable, Castan, SolveOutcome, Solver, SymExpr};
 use castan_ir::{BinOp, CmpOp, HashFunc};
 use castan_mem::{ContentionCatalog, HierarchyConfig, MemoryHierarchy, LINE_SIZE};
@@ -51,11 +52,13 @@ fn bench_solver(c: &mut Criterion) {
 /// is a bucket index, so its component runs the backtracking pass and the
 /// random completion to an `Unknown` — the engine's most common expensive
 /// answer. The pins are built anew for every query, as the engine builds
-/// them: the solver has seen the path constraint before, never the pin, so
-/// what is timed is one fresh component plus slicing a remembered base.
+/// them: the path constraint has answered before, the pin never, so what is
+/// timed is one fresh component plus reading the others off the path.
 /// `resolve_sweep` is the whole shape of one `resolve_symbolic_address`
 /// call: seven candidate lines, each probed exactly and then within the
 /// line — 14 queries an iteration over the one path constraint.
+/// `fork_push` is what `assume` on a forked state costs now that the
+/// slicing is kept up there: a clone of the path and a push of the pin.
 fn bench_path_constraint(c: &mut Criterion) {
     let nf = nf_by_id(NfId::NatHashTable);
     let catalog = {
@@ -71,7 +74,7 @@ fn bench_path_constraint(c: &mut Criterion) {
         panic!("the NAT path ends on an address pin, not {last:?}");
     };
     let line = line.as_const().expect("pinned to a concrete line");
-    let base: Vec<Constraint> = state
+    let base: ConstraintSet = state
         .constraints
         .iter()
         .filter(|c| c.atoms() != last.atoms())
@@ -110,6 +113,13 @@ fn bench_path_constraint(c: &mut Criterion) {
                 black_box(solver.solve_with_extra(&state.atoms, &base, &exact(candidate)));
                 black_box(solver.solve_with_extra(&state.atoms, &base, &within(candidate)));
             }
+        })
+    });
+    group.bench_function("fork_push", |b| {
+        b.iter(|| {
+            let mut child = base.clone();
+            child.push(pin(CmpOp::Eq, line));
+            black_box(child)
         })
     });
     group.finish();

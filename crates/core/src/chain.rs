@@ -46,7 +46,7 @@ use crate::expr::{AtomKind, AtomTable, Constraint, SymExpr};
 use crate::havoc::HavocRecord;
 use crate::report::AnalysisReport;
 use crate::solve::{SolveOutcome, Solver};
-use crate::state::ExecState;
+use crate::state::{ConstraintSet, ExecState};
 use crate::symmem::SymMemory;
 use crate::synth::synthesize;
 use crate::trace::{SearchTrace, SolverSite};
@@ -258,7 +258,7 @@ fn analyze_chain_inner(
     let mut solver = Solver::new(castan.config().solver);
     let merge_t0 = trace.is_some().then(Instant::now);
     let stats_before_merge = solver.stats();
-    let mut merged: Vec<Constraint> = Vec::new();
+    let mut merged = ConstraintSet::new();
     let mut havocs: Vec<HavocRecord> = Vec::new();
     let mut merged_count = 0usize;
     let mut dropped_count = 0usize;
@@ -273,13 +273,12 @@ fn analyze_chain_inner(
                 dropped_count += 1;
                 continue;
             }
-            merged.push(c.clone());
-            match solver.solve(&origin_atoms, &merged) {
-                SolveOutcome::Unsat => {
-                    merged.pop();
-                    dropped_count += 1;
+            match solver.solve_with_extra(&origin_atoms, &merged, std::slice::from_ref(c)) {
+                SolveOutcome::Unsat => dropped_count += 1,
+                _ => {
+                    merged.push(c.clone());
+                    merged_count += 1;
                 }
-                _ => merged_count += 1,
             }
         }
         havocs.extend(stage.havocs.iter().cloned());
@@ -307,7 +306,7 @@ fn analyze_chain_inner(
         castan.config().packets,
     );
     state.atoms = origin_atoms;
-    state.constraints = merged.into();
+    state.constraints = merged;
     state.havocs = havocs;
     let synth_t0 = trace.is_some().then(Instant::now);
     let stats_before_synth = solver.stats();

@@ -265,7 +265,16 @@ impl Castan {
         }
         strategy.push(initial, score);
 
-        let mut finished: Vec<ExecState> = Vec::new();
+        // The most expensive completed state so far (by its worst packet,
+        // then by its total; of equals, the latest). Only it is kept: a
+        // quick LPM analysis completes thousands of states.
+        let cost_of = |s: &ExecState| {
+            (
+                s.max_completed_cpp(),
+                s.completed.iter().map(|m| m.est_cycles).sum::<u64>(),
+            )
+        };
+        let mut best_finished: Option<ExecState> = None;
         let mut best_partial: Option<ExecState> = None;
         let mut steps: u64 = 0;
         let mut states_explored: u64 = 0;
@@ -365,12 +374,17 @@ impl Castan {
                         if let Some(t) = trace.as_deref_mut() {
                             t.completed_states += 1;
                         }
-                        finished.push(c);
+                        if best_finished
+                            .as_ref()
+                            .is_none_or(|best| cost_of(&c) >= cost_of(best))
+                        {
+                            best_finished = Some(c);
+                        }
                     }
                     for mut child in r.children {
                         next_id += 1;
                         child.id = next_id;
-                        if finished.is_empty() {
+                        if best_finished.is_none() {
                             maybe_update_partial(&mut best_partial, &child);
                         }
                         if let Some(reason) = engine.prune_reason(&child, incumbent) {
@@ -386,7 +400,7 @@ impl Castan {
                         strategy.push(child, s);
                     }
                     if let Some(surv) = r.survivor {
-                        if finished.is_empty() {
+                        if best_finished.is_none() {
                             maybe_update_partial(&mut best_partial, &surv);
                         }
                         match engine.prune_reason(&surv, incumbent) {
@@ -421,17 +435,9 @@ impl Castan {
             t.forks += forks;
         }
 
-        // Choose the most expensive completed state (by its worst packet), or
-        // fall back to the best partial state.
-        let best = finished
-            .into_iter()
-            .max_by_key(|s| {
-                (
-                    s.max_completed_cpp(),
-                    s.completed.iter().map(|m| m.est_cycles).sum::<u64>(),
-                )
-            })
-            .or(best_partial);
+        // Choose the most expensive completed state, or fall back to the
+        // best partial state.
+        let best = best_finished.or(best_partial);
 
         let synth_t0 = timing.then(Instant::now);
         let before_synth = (solver.stats(), solver.component_stats());
@@ -1232,7 +1238,10 @@ impl Engine<'_> {
         }
         if out.is_empty() {
             // Fall back to any feasible concrete value.
-            match ctx.solver.solve(&state.atoms, &state.constraints) {
+            match ctx
+                .solver
+                .solve_with_extra(&state.atoms, &state.constraints, &[])
+            {
                 SolveOutcome::Sat(m) => {
                     let a = m.eval(addr);
                     out.push((a, Some(Arc::new(m))));
@@ -1325,7 +1334,7 @@ struct ConcretizingMem<'a> {
     mem: &'a mut SymMemory,
     solver: &'a mut Solver,
     atoms: &'a crate::expr::AtomTable,
-    constraints: &'a [Constraint],
+    constraints: &'a crate::state::ConstraintSet,
 }
 
 impl MemAccess for ConcretizingMem<'_> {

@@ -474,12 +474,6 @@ impl Constraint {
         }
     }
 
-    /// True if `other` is a clone of this constraint (one shared
-    /// allocation, hence the same conjuncts at the same addresses).
-    pub(crate) fn is(&self, other: &Constraint) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
-    }
-
     /// Evaluates the constraint under an assignment.
     pub fn holds(&self, lookup: &dyn Fn(AtomId) -> u64) -> bool {
         self.0.whole.holds(lookup)

@@ -26,19 +26,35 @@
 //! timeout in the original tool).
 //!
 //! Before any of that a query is sliced into independent components (KLEE's
-//! independence optimisation), and because a component's answer is a pure
-//! function of its conjuncts, the solver remembers the last few it solved
-//! (KLEE's counterexample cache, keyed exactly): the engine asks a dozen
-//! queries in a row over one path constraint with a different address pin
-//! each, and only the component the pin lands in is new.
+//! independence optimisation) — and the slicing is carried, not recomputed.
+//! The engine asks a dozen queries in a row over one path constraint with a
+//! different address pin each, then forks, pushes one constraint and asks
+//! again, so the path constraint ([`ConstraintSet`]) keeps its own
+//! components up to date as it grows and remembers what each answered. A
+//! query groups only its tentative constraints with the path components
+//! their atoms touch, solves that one merged component, and reads every
+//! other answer off the path: no key, no hash, no allocation.
+//!
+//! Because a component's answer is a pure function of its conjuncts, the
+//! solver also remembers the last few components it solved (KLEE's
+//! counterexample cache, keyed exactly). Since the paths carry their
+//! answers, the cache only sees components that are new to their path: the
+//! merged one of each query, and each path component once, right after the
+//! push that formed it — which is where it still hits, because the
+//! feasibility query that preceded the push solved exactly that component.
+//! On the `synth-chain` benchmark that is 5.6 k hits in 58 k look-ups
+//! (9.6 %), beside 510 k answers read off the path; before the paths
+//! carried them it was 514 k hits in 568 k (90.4 %).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use castan_ir::BinOp;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::expr::{mix, AtomId, AtomTable, Conjunct, Constraint, SymExpr};
+use crate::state::{ConstraintSet, Member};
 
 /// An assignment of atoms to concrete values, dense over [`AtomId`].
 ///
@@ -146,17 +162,20 @@ impl SolverStats {
     }
 }
 
-/// How often a [`Solver`] solved a component of a query and how often it
-/// reused the remembered answer of an identical one. Profiling data, unlike
-/// [`SolverStats`]: what a solver remembers depends on what it was asked
-/// before, so with several workers the split depends on scheduling (the
-/// answers do not).
+/// How a [`Solver`] came by the answers of the components of its queries.
+/// Profiling data, unlike [`SolverStats`]: what a solver remembers depends
+/// on what it was asked before, and which worker fills a path component's
+/// slot on who gets there first, so with several workers the split depends
+/// on scheduling (the answers do not).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ComponentStats {
     /// Components solved.
     pub solved: u64,
     /// Components answered from the cache.
     pub reused: u64,
+    /// Components of the path that the query left alone and that had
+    /// answered before: read from the path, no key, no look-up.
+    pub carried: u64,
 }
 
 impl ComponentStats {
@@ -164,6 +183,7 @@ impl ComponentStats {
     pub fn absorb(&mut self, other: ComponentStats) {
         self.solved += other.solved;
         self.reused += other.reused;
+        self.carried += other.carried;
     }
 
     /// The components met after an `earlier` snapshot of the same solver.
@@ -171,6 +191,7 @@ impl ComponentStats {
         ComponentStats {
             solved: self.solved.saturating_sub(earlier.solved),
             reused: self.reused.saturating_sub(earlier.reused),
+            carried: self.carried.saturating_sub(earlier.carried),
         }
     }
 }
@@ -194,30 +215,24 @@ impl Default for SolverConfig {
 }
 
 /// The solver.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Solver {
-    config: SolverConfig,
     stats: SolverStats,
-    components: ComponentStats,
-    cache: ComponentCache,
-    scratch: Scratch,
-}
-
-impl Default for Solver {
-    fn default() -> Self {
-        Self::new(SolverConfig::default())
-    }
+    components: Components,
+    slicing: Slicing,
+    /// The answer under construction, by `AtomId`.
+    values: Vec<u64>,
 }
 
 impl Solver {
     /// Creates a solver.
     pub fn new(config: SolverConfig) -> Self {
         Solver {
-            config,
-            stats: SolverStats::default(),
-            components: ComponentStats::default(),
-            cache: ComponentCache::default(),
-            scratch: Scratch::default(),
+            components: Components {
+                config,
+                ..Components::default()
+            },
+            ..Solver::default()
         }
     }
 
@@ -226,23 +241,27 @@ impl Solver {
         self.stats
     }
 
-    /// Components solved and reused so far (see [`ComponentStats`]).
+    /// Components solved, reused and carried so far (see
+    /// [`ComponentStats`]).
     pub fn component_stats(&self) -> ComponentStats {
-        self.components
+        self.components.stats
     }
 
-    /// Solves the conjunction of `constraints`.
+    /// Solves the conjunction of `constraints`: slices them as a path that
+    /// assumed them one by one would have, and asks that.
     pub fn solve(&mut self, atoms: &AtomTable, constraints: &[Constraint]) -> SolveOutcome {
-        self.solve_with_extra(atoms, constraints, &[])
+        let path: ConstraintSet = constraints.iter().cloned().collect();
+        self.solve_with_extra(atoms, &path, &[])
     }
 
-    /// Solves the conjunction of `base ∧ extra` without the caller having to
-    /// concatenate the two slices — the common shape of a path-feasibility
-    /// query (shared path constraint plus a tentative branch condition).
+    /// Solves the conjunction of `base ∧ extra` — the shape of a
+    /// path-feasibility query (shared path constraint plus a tentative
+    /// branch condition). Only the components of `base` that `extra`'s atoms
+    /// touch are looked at again; the rest answer what they answered before.
     pub fn solve_with_extra(
         &mut self,
         atoms: &AtomTable,
-        base: &[Constraint],
+        base: &ConstraintSet,
         extra: &[Constraint],
     ) -> SolveOutcome {
         let outcome = self.solve_with_extra_inner(atoms, base, extra);
@@ -250,7 +269,7 @@ impl Solver {
             SolveOutcome::Sat(model) => {
                 self.stats.sat += 1;
                 // Self-check: the answer was assembled per conjunct and per
-                // component, some of them remembered, so hold it against the
+                // component, most of them remembered, so hold it against the
                 // query as it was asked.
                 if cfg!(debug_assertions) {
                     for (i, c) in base.iter().chain(extra).enumerate() {
@@ -273,30 +292,17 @@ impl Solver {
 
     fn solve_with_extra_inner(
         &mut self,
-        atoms: &AtomTable,
-        base: &[Constraint],
+        table: &AtomTable,
+        base: &ConstraintSet,
         extra: &[Constraint],
     ) -> SolveOutcome {
-        // The query is over conjuncts, which every constraint prepared at
-        // construction; nothing of the (shared, long) base is re-walked here.
-        let conjuncts: Vec<Asked> = base
-            .iter()
-            .chain(extra)
-            .flat_map(|owner| {
-                owner
-                    .conjuncts()
-                    .iter()
-                    .map(move |conjunct| Asked { conjunct, owner })
-            })
-            .collect();
-
-        // Trivially contradictory concrete constraints short-circuit.
-        if conjuncts
-            .iter()
-            .any(|c| c.atoms.is_empty() && !c.holds(&|_| 0))
-        {
-            return SolveOutcome::Unsat;
-        }
+        let Solver {
+            components,
+            slicing,
+            values,
+            ..
+        } = self;
+        let asked = Asked { path: base, extra };
 
         // Independence slicing (the optimization KLEE applies before every
         // query, which the original tool inherits): constraints that share
@@ -306,70 +312,65 @@ impl Solver {
         // cheaper (propagation and the randomised completion touch only
         // the component's constraints) and more complete: a random search
         // over a 3-atom component succeeds where a joint draw across 40
-        // atoms starves its budget. Component models merge disjointly, over
+        // atoms starves its budget. The path carries its components, so all
+        // that is sliced here is `extra`.
+        if base.falsified() || !slicing.group(asked) {
+            return SolveOutcome::Unsat;
+        }
+
+        // Components are met in the order of their first conjuncts: the
+        // path's, each in its place — merged with the group that touches it,
+        // where the first of that group's path components sits — then the
+        // groups that touch none. Component models merge disjointly, over
         // zeros for the atoms no constraint mentions.
-        let Scratch {
-            partition,
-            local_of,
-            comp_atoms,
-            key,
-            values,
-            search,
-        } = &mut self.scratch;
-        partition.split(&conjuncts, atoms.len());
-        local_of.resize(atoms.len(), 0);
         values.clear();
-        values.resize(atoms.len(), 0);
+        values.resize(table.len(), 0);
         let mut unknown = false;
-        for members in partition.components() {
-            comp_atoms.clear();
-            comp_atoms.extend(members.iter().flat_map(|&i| conjuncts[i].atoms.iter()));
-            if comp_atoms.is_empty() {
-                continue; // a concrete conjunct, found true above
+        let mut settle = |atoms: &[AtomId], answer: &Answer| match answer.verdict {
+            // Once the query cannot end `Sat` nobody reads the model.
+            Verdict::Sat if unknown => true,
+            Verdict::Sat => {
+                for (&a, &v) in atoms.iter().zip(&answer.model) {
+                    values[a as usize] = v;
+                }
+                true
             }
-            comp_atoms.sort_unstable();
-            comp_atoms.dedup();
-            // What a component answers is a function of its conjuncts, in
-            // query order, and of how wide the table says their atoms are;
-            // the key names exactly that, conjuncts by identity.
-            key.clear();
-            key.push(members.len() as u64);
-            key.extend(
-                members
-                    .iter()
-                    .map(|&i| std::ptr::from_ref(conjuncts[i].conjunct) as usize as u64),
-            );
-            key.extend(comp_atoms.iter().map(|&a| u64::from(atoms.kind(a).bits())));
-            let answer = match self.cache.get(key) {
-                Some(answer) => {
-                    self.components.reused += 1;
-                    answer
+            Verdict::Unsat => false,
+            // Later components are still looked at: one may be Unsat.
+            Verdict::Unknown => {
+                unknown = true;
+                true
+            }
+        };
+        for (at, component) in base.components().iter().enumerate() {
+            let satisfiable = if let Some(g) = slicing.group_at(at) {
+                if !slicing.gather(g, Some(at), asked) {
+                    continue; // merged where an earlier component sits
                 }
-                None => {
-                    self.components.solved += 1;
-                    for (pos, &a) in comp_atoms.iter().enumerate() {
-                        local_of[a as usize] = pos;
-                    }
-                    let component = Component {
-                        conjuncts: &conjuncts,
-                        members,
-                        atoms: comp_atoms,
-                        local_of,
-                        table: atoms,
-                    };
-                    let verdict = component.solve(search, &self.config);
-                    self.cache.insert(key, verdict, search, &component)
-                }
+                let answer = components.answer(asked, &slicing.members, &slicing.atoms, table);
+                settle(&slicing.atoms, &answer)
+            } else if let Some(answer) = component.answer.get() {
+                components.stats.carried += 1;
+                settle(&component.atoms, answer)
+            } else {
+                // Asked once, for every state that inherits the component.
+                // Two workers may get here at the same time; they bring the
+                // same answer.
+                let answer = components.answer(asked, &component.members, &component.atoms, table);
+                let satisfiable = settle(&component.atoms, &answer);
+                let _ = component.answer.set(answer);
+                satisfiable
             };
-            match answer.verdict {
-                Verdict::Sat => {
-                    for (&a, &v) in comp_atoms.iter().zip(&answer.model) {
-                        values[a as usize] = v;
-                    }
+            if !satisfiable {
+                return SolveOutcome::Unsat;
+            }
+        }
+        for g in 0..slicing.tentative.len() {
+            if slicing.gather(g, None, asked) {
+                let answer = components.answer(asked, &slicing.members, &slicing.atoms, table);
+                if !settle(&slicing.atoms, &answer) {
+                    return SolveOutcome::Unsat;
                 }
-                Verdict::Unsat => return SolveOutcome::Unsat,
-                // Later components are still looked at: one may be Unsat.
-                Verdict::Unknown => unknown = true,
             }
         }
         if unknown {
@@ -387,7 +388,7 @@ impl Solver {
     pub fn is_satisfiable(
         &mut self,
         atoms: &AtomTable,
-        constraints: &[Constraint],
+        constraints: &ConstraintSet,
         extra: &[Constraint],
     ) -> bool {
         self.solve_with_extra(atoms, constraints, extra).is_sat()
@@ -397,76 +398,209 @@ impl Solver {
     pub fn concretize(
         &mut self,
         atoms: &AtomTable,
-        constraints: &[Constraint],
+        constraints: &ConstraintSet,
         expr: &SymExpr,
     ) -> Option<u64> {
         if let Some(v) = expr.as_const() {
             return Some(v);
         }
-        match self.solve(atoms, constraints) {
+        match self.solve_with_extra(atoms, constraints, &[]) {
             SolveOutcome::Sat(m) => Some(m.eval(expr)),
             _ => None,
         }
     }
 }
 
-/// Buffers a [`Solver`] reuses from query to query (every one is rebuilt
-/// before it is read): a feasibility query is tens of microseconds, and a
-/// dozen allocations each would be a tenth of that — more when two workers
-/// share the allocator.
+/// What a query is over: the path's constraints, then `extra`'s. A
+/// [`Member`] indexes the two as one list.
+#[derive(Clone, Copy)]
+struct Asked<'a> {
+    path: &'a ConstraintSet,
+    extra: &'a [Constraint],
+}
+
+impl<'a> Asked<'a> {
+    fn owner(self, m: Member) -> &'a Constraint {
+        let at = m.constraint as usize;
+        match at.checked_sub(self.path.len()) {
+            None => &self.path[at],
+            Some(at) => &self.extra[at],
+        }
+    }
+
+    fn conjunct(self, m: Member) -> &'a Conjunct {
+        &self.owner(m).conjuncts()[m.conjunct as usize]
+    }
+}
+
+/// How `extra` slices against the path, rebuilt by every query in buffers
+/// the [`Solver`] keeps: a feasibility query is a few microseconds, and a
+/// handful of allocations each would be a tenth of that — more when two
+/// workers share the allocator.
+///
+/// An atom's *class* is the path component it belongs to, or the atom itself
+/// if the path never mentions it. Conjuncts of `extra` that meet in a class
+/// are one *group*, named by its first conjunct, and a group is one
+/// component of the query together with every path component among its
+/// classes.
 #[derive(Clone, Debug, Default)]
-struct Scratch {
-    partition: Partition,
-    /// By `AtomId`: position among the current component's atoms.
-    local_of: Vec<usize>,
-    /// The current component's atoms, ascending.
-    comp_atoms: Vec<AtomId>,
-    /// The current component's cache key.
-    key: Vec<u64>,
-    /// The answer under construction, by `AtomId`.
-    values: Vec<u64>,
-    search: Search,
+struct Slicing {
+    /// `extra`'s conjuncts that have atoms, in order.
+    tentative: Vec<Member>,
+    /// Union–find over `tentative`; a root is the least of its group.
+    group: Vec<usize>,
+    /// Every class met, with the first conjunct met in it. Path components
+    /// are classes by index, atoms behind them.
+    classes: Vec<(usize, usize)>,
+    /// The path components among `classes`, each with its group.
+    touched: Vec<(usize, usize)>,
+    /// The gathered component's members, in query order.
+    members: Vec<Member>,
+    /// The gathered component's atoms, ascending.
+    atoms: Vec<AtomId>,
+}
+
+fn root(group: &[usize], mut i: usize) -> usize {
+    while group[i] != i {
+        i = group[i];
+    }
+    i
+}
+
+impl Slicing {
+    /// Groups `extra`'s conjuncts; false if a concrete one of them is false
+    /// (true ones constrain nothing).
+    fn group(&mut self, asked: Asked) -> bool {
+        let Slicing {
+            tentative,
+            group,
+            classes,
+            touched,
+            ..
+        } = self;
+        let n_components = asked.path.components().len();
+        tentative.clear();
+        group.clear();
+        classes.clear();
+        for (i, c) in asked.extra.iter().enumerate() {
+            for (j, conjunct) in c.conjuncts().iter().enumerate() {
+                if conjunct.atoms.is_empty() {
+                    if !conjunct.holds(&|_| 0) {
+                        return false;
+                    }
+                    continue;
+                }
+                let me = tentative.len();
+                tentative.push(Member {
+                    constraint: (asked.path.len() + i) as u32,
+                    conjunct: j as u32,
+                });
+                group.push(me);
+                for &a in conjunct.atoms.iter() {
+                    let class = asked
+                        .path
+                        .component_of(a)
+                        .unwrap_or(n_components + a as usize);
+                    match classes.iter().find(|(c, _)| *c == class) {
+                        Some(&(_, first)) => {
+                            let (x, y) = (root(group, me), root(group, first));
+                            group[x.max(y)] = x.min(y);
+                        }
+                        None => classes.push((class, me)),
+                    }
+                }
+            }
+        }
+        touched.clear();
+        touched.extend(
+            classes
+                .iter()
+                .filter(|(class, _)| *class < n_components)
+                .map(|&(class, first)| (class, root(group, first))),
+        );
+        true
+    }
+
+    /// The group that touches path component `at`.
+    fn group_at(&self, at: usize) -> Option<usize> {
+        let touch = self.touched.iter().find(|(component, _)| *component == at);
+        touch.map(|&(_, g)| g)
+    }
+
+    /// Gathers the query component of group `g` into `members` and `atoms`,
+    /// if `here` is where the query has it: at the first path component the
+    /// group touches, or behind the path (`None`) if it touches none. Path
+    /// members come in path order, then `extra`'s.
+    fn gather(&mut self, g: usize, here: Option<usize>, asked: Asked) -> bool {
+        let Slicing {
+            tentative,
+            group,
+            touched,
+            members,
+            atoms,
+            ..
+        } = self;
+        let in_path = touched.iter().filter(|(_, h)| *h == g).map(|&(at, _)| at);
+        if group[g] != g || in_path.clone().min() != here {
+            return false;
+        }
+        members.clear();
+        atoms.clear();
+        for at in in_path.clone() {
+            let component = &asked.path.components()[at];
+            members.extend_from_slice(&component.members);
+            atoms.extend_from_slice(&component.atoms);
+        }
+        if in_path.count() > 1 {
+            members.sort_unstable();
+        }
+        for (i, &m) in tentative.iter().enumerate() {
+            if root(group, i) == g {
+                members.push(m);
+                atoms.extend_from_slice(&asked.conjunct(m).atoms);
+            }
+        }
+        atoms.sort_unstable();
+        atoms.dedup();
+        true
+    }
 }
 
 /// Node budget of the candidate backtracking pass (assignments tried
 /// across the whole search, not per level).
 const CANDIDATE_DFS_BUDGET: u32 = 512;
 
-/// One conjunct of a query and the constraint it is a conjunct of.
-#[derive(Clone, Copy)]
-struct Asked<'a> {
-    conjunct: &'a Conjunct,
-    owner: &'a Constraint,
-}
-
-impl std::ops::Deref for Asked<'_> {
-    type Target = Conjunct;
-
-    fn deref(&self) -> &Conjunct {
-        self.conjunct
-    }
-}
-
-/// Components remembered at once. The engine's locality is one
-/// `resolve_symbolic_address` call — a dozen queries over one path
-/// constraint — so the size hardly moves the hit rate (`nat-lb-lpm`: 90.2 %
-/// of look-ups at 256 entries, 91.2 % at 1,024, 91.6 % at 4,096); what
-/// bounds it from above is the memory the remembered constraints pin (peak
-/// RSS of the `pipeline` benchmark: +0.8 %, +1.8 %, +5.8 %).
+/// Components remembered at once. Sized when every component of every query
+/// went through the cache: the size hardly moved the hit rate (`nat-lb-lpm`:
+/// 90.2 % of look-ups at 256 entries, 91.2 % at 1,024, 91.6 % at 4,096), and
+/// what bounds it from above is the memory the remembered constraints pin
+/// (peak RSS of the `pipeline` benchmark: +0.8 %, +1.8 %, +5.8 %). Now that
+/// the paths carry their answers it sees a tenth of those look-ups and hits
+/// on a tenth of them; whether it still earns the memory is an open question.
 const CACHE_ENTRIES: usize = 1024;
 
-/// The answers to the components solved last, by what they are a function
-/// of. Only ever probed by key: nothing iterates it, so the hasher's
-/// per-process order reaches no result — and since an answer is a pure
-/// function of its key, neither does what the cache happens to hold.
+/// What answers a component: the answers to the components solved last, by
+/// what they are a function of, and the working memory to solve one that is
+/// not among them. The cache is only ever probed by key: nothing iterates
+/// it, so the hasher's per-process order reaches no result — and since an
+/// answer is a pure function of its key, neither does what the cache
+/// happens to hold.
 #[derive(Clone, Debug, Default)]
-struct ComponentCache {
-    entries: HashMap<Box<[u64]>, Answer>,
+struct Components {
+    config: SolverConfig,
+    stats: ComponentStats,
+    cache: HashMap<Box<[u64]>, Arc<Answer>>,
+    /// The current component's cache key.
+    key: Vec<u64>,
+    /// By `AtomId`: position among the current component's atoms.
+    local_of: Vec<usize>,
+    search: Search,
 }
 
-/// What a component answered.
-#[derive(Clone, Debug)]
-struct Answer {
+/// What a component answered. One allocation, shared by the cache entry and
+/// the path component's slot.
+#[derive(Debug)]
+pub(crate) struct Answer {
     verdict: Verdict,
     /// On `Sat`, the value of each of the component's atoms, ascending.
     model: Box<[u64]>,
@@ -476,45 +610,76 @@ struct Answer {
     _pinned: Box<[Constraint]>,
 }
 
-impl ComponentCache {
-    fn get(&self, key: &[u64]) -> Option<&Answer> {
-        self.entries.get(key)
-    }
-
-    /// Remembers what `component`, solved in `search`, answered. A full
-    /// cache starts over: the components of the path constraint being asked
-    /// about are back after one query.
-    fn insert(
+impl Components {
+    /// The answer of the component `members` of `asked`, over `atoms`
+    /// (ascending): remembered, or solved now and remembered.
+    fn answer(
         &mut self,
-        key: &[u64],
-        verdict: Verdict,
-        search: &Search,
-        component: &Component,
-    ) -> &Answer {
-        if self.entries.len() >= CACHE_ENTRIES {
-            self.entries.clear();
+        asked: Asked,
+        members: &[Member],
+        atoms: &[AtomId],
+        table: &AtomTable,
+    ) -> Arc<Answer> {
+        // What a component answers is a function of its conjuncts, in
+        // query order, and of how wide the table says their atoms are;
+        // the key names exactly that, conjuncts by identity.
+        self.key.clear();
+        self.key.push(members.len() as u64);
+        self.key.extend(
+            members
+                .iter()
+                .map(|&m| std::ptr::from_ref(asked.conjunct(m)) as usize as u64),
+        );
+        self.key
+            .extend(atoms.iter().map(|&a| u64::from(table.kind(a).bits())));
+        if let Some(answer) = self.cache.get(self.key.as_slice()) {
+            self.stats.reused += 1;
+            return Arc::clone(answer);
         }
+
+        self.stats.solved += 1;
+        self.local_of.resize(table.len(), 0);
+        for (pos, &a) in atoms.iter().enumerate() {
+            self.local_of[a as usize] = pos;
+        }
+        // The search walks the conjuncts hundreds of times: find them once.
+        let conjuncts: Vec<&Conjunct> = members.iter().map(|&m| asked.conjunct(m)).collect();
+        let component = Component {
+            conjuncts: &conjuncts,
+            atoms,
+            local_of: &self.local_of,
+            table,
+        };
+        let verdict = component.solve(&mut self.search, &self.config);
         let model = match verdict {
-            Verdict::Sat => search
+            Verdict::Sat => self
+                .search
                 .model()
                 .iter()
                 .map(|v| v.expect("a Sat component model is total"))
                 .collect(),
             Verdict::Unsat | Verdict::Unknown => Box::default(),
         };
-        let mut pinned: Vec<Constraint> = Vec::with_capacity(component.members.len());
-        for &i in component.members {
-            let owner = component.conjuncts[i].owner;
+        let mut pinned: Vec<Constraint> = Vec::with_capacity(members.len());
+        let mut last = None;
+        for &m in members {
             // A constraint's conjuncts are adjacent in the query.
-            if !pinned.last().is_some_and(|last| last.is(owner)) {
-                pinned.push(owner.clone());
+            if last.replace(m.constraint) != Some(m.constraint) {
+                pinned.push(asked.owner(m).clone());
             }
         }
-        self.entries.entry(key.into()).or_insert(Answer {
+        let answer = Arc::new(Answer {
             verdict,
             model,
             _pinned: pinned.into(),
-        })
+        });
+        // A full cache starts over; what the paths carry they keep.
+        if self.cache.len() >= CACHE_ENTRIES {
+            self.cache.clear();
+        }
+        self.cache
+            .insert(self.key.as_slice().into(), Arc::clone(&answer));
+        answer
     }
 }
 
@@ -580,9 +745,8 @@ impl Search {
 
 /// One connected component of a query.
 struct Component<'a> {
-    /// The query's conjuncts; `members` are the component's, in query order.
-    conjuncts: &'a [Asked<'a>],
-    members: &'a [usize],
+    /// The component's conjuncts, in query order.
+    conjuncts: &'a [&'a Conjunct],
     /// The component's atoms, ascending: the positions of a local model.
     atoms: &'a [AtomId],
     /// Position in `atoms` of each of them, by `AtomId` (entries of other
@@ -593,7 +757,7 @@ struct Component<'a> {
 
 impl<'a> Component<'a> {
     fn constraints(&self) -> impl Iterator<Item = &'a Conjunct> + '_ {
-        self.members.iter().map(|&i| self.conjuncts[i].conjunct)
+        self.conjuncts.iter().copied()
     }
 
     fn get(&self, model: &[Option<u64>], id: AtomId) -> Option<u64> {
@@ -815,88 +979,6 @@ impl<'a> Component<'a> {
         } else {
             DfsOutcome::Exhausted
         }
-    }
-}
-
-/// The connected components of a query's conjuncts under the "shares an
-/// atom" relation, in first-appearance order with their members in query
-/// order, so the partition is deterministic. Atom-free (concrete) conjuncts
-/// are singletons.
-#[derive(Clone, Debug, Default)]
-struct Partition {
-    /// Union–find over conjunct indices.
-    parent: Vec<usize>,
-    /// By `AtomId`: the first conjunct seen with the atom.
-    owner: Vec<usize>,
-    /// By root conjunct: its component.
-    component_of: Vec<usize>,
-    /// Conjunct indices, grouped by component.
-    members: Vec<usize>,
-    /// Component c ends before `members[ends[c]]`, where c + 1 starts.
-    ends: Vec<usize>,
-}
-
-impl Partition {
-    const NONE: usize = usize::MAX;
-
-    fn find(&mut self, mut x: usize) -> usize {
-        while self.parent[x] != x {
-            self.parent[x] = self.parent[self.parent[x]];
-            x = self.parent[x];
-        }
-        x
-    }
-
-    /// Partitions `conjuncts`, whose atoms index a table of `n_atoms`.
-    fn split(&mut self, conjuncts: &[Asked], n_atoms: usize) {
-        let n = conjuncts.len();
-        self.parent.clear();
-        self.parent.extend(0..n);
-        self.owner.clear();
-        self.owner.resize(n_atoms, Self::NONE);
-        for (i, c) in conjuncts.iter().enumerate() {
-            for &a in c.atoms.iter() {
-                let first = self.owner[a as usize];
-                if first == Self::NONE {
-                    self.owner[a as usize] = i;
-                } else {
-                    let (ra, rb) = (self.find(i), self.find(first));
-                    self.parent[ra] = rb;
-                }
-            }
-        }
-        // Counting sort by component, numbered as first met: count, turn the
-        // counts into each component's start, then fill — which leaves every
-        // cursor one past its component's last member.
-        self.component_of.clear();
-        self.component_of.resize(n, Self::NONE);
-        self.ends.clear();
-        for i in 0..n {
-            let root = self.find(i);
-            if self.component_of[root] == Self::NONE {
-                self.component_of[root] = self.ends.len();
-                self.ends.push(0);
-            }
-            self.ends[self.component_of[root]] += 1;
-        }
-        let mut start = 0;
-        for end in &mut self.ends {
-            start += std::mem::replace(end, start);
-        }
-        self.members.clear();
-        self.members.resize(n, 0);
-        for i in 0..n {
-            let root = self.find(i);
-            let cursor = &mut self.ends[self.component_of[root]];
-            self.members[*cursor] = i;
-            *cursor += 1;
-        }
-    }
-
-    fn components(&self) -> impl Iterator<Item = &[usize]> {
-        self.ends.iter().scan(0, |start, &end| {
-            Some(&self.members[std::mem::replace(start, end)..end])
-        })
     }
 }
 
@@ -1143,11 +1225,11 @@ mod tests {
     fn is_satisfiable_with_extra() {
         let (t, ip, _) = atom_table();
         let mut s = Solver::default();
-        let base = vec![Constraint::require_true(SymExpr::cmp(
+        let base = ConstraintSet::from_iter([Constraint::require_true(SymExpr::cmp(
             CmpOp::Ult,
             SymExpr::atom(ip),
             SymExpr::constant(100),
-        ))];
+        ))]);
         let ok = vec![eq(SymExpr::atom(ip), SymExpr::constant(42))];
         let bad = vec![eq(SymExpr::atom(ip), SymExpr::constant(200))];
         assert!(s.is_satisfiable(&t, &base, &ok));
@@ -1158,7 +1240,7 @@ mod tests {
     fn concretize_returns_consistent_value() {
         let (t, ip, _) = atom_table();
         let mut s = Solver::default();
-        let cs = vec![eq(SymExpr::atom(ip), SymExpr::constant(0x01020304))];
+        let cs = ConstraintSet::from_iter([eq(SymExpr::atom(ip), SymExpr::constant(0x01020304))]);
         let e = SymExpr::bin(BinOp::Shr, SymExpr::atom(ip), SymExpr::constant(8));
         assert_eq!(s.concretize(&t, &cs, &e), Some(0x010203));
         assert_eq!(s.concretize(&t, &cs, &SymExpr::constant(9)), Some(9));
@@ -1171,13 +1253,13 @@ mod tests {
         assert_eq!(s.stats(), SolverStats::default());
         // Sat — and the two constraints form two independent components, yet
         // the query counts once.
-        let sat = vec![
+        let sat = ConstraintSet::from_iter([
             eq(SymExpr::atom(ip), SymExpr::constant(5)),
             eq(SymExpr::atom(port), SymExpr::constant(9)),
-        ];
+        ]);
         assert!(s.solve(&t, &sat).is_sat());
         // Unsat.
-        let unsat = vec![eq(SymExpr::constant(1), SymExpr::constant(2))];
+        let unsat = ConstraintSet::from_iter([eq(SymExpr::constant(1), SymExpr::constant(2))]);
         assert!(!s.is_satisfiable(&t, &unsat, &[]));
         // Concretize routes through solve: one more Sat.
         let before = s.stats();
@@ -1253,7 +1335,8 @@ mod tests {
                 s.component_stats(),
                 ComponentStats {
                     solved: 2,
-                    reused: 0
+                    reused: 0,
+                    carried: 0,
                 }
             );
         }

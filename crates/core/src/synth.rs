@@ -124,8 +124,8 @@ pub fn synthesize(
     solver: &mut Solver,
     cfg: &SynthConfig,
 ) -> Synthesis {
-    let mut constraints = state.constraints.to_vec();
-    let (mut model, model_source) = best_effort_model(solver, state, &constraints);
+    let mut constraints = state.constraints.clone();
+    let (mut model, model_source) = best_effort_model(solver, state);
     let mut resolutions = Vec::with_capacity(state.havocs.len());
 
     // Build one inverter per hash function in use.
@@ -172,10 +172,10 @@ pub fn synthesize(
                 SymExpr::atom(havoc.output),
                 SymExpr::constant(havoc.func.apply(&key)),
             )));
-            let mut candidate_constraints = constraints.clone();
-            candidate_constraints.extend(extra.iter().cloned());
-            if let SolveOutcome::Sat(m) = solver.solve(&state.atoms, &candidate_constraints) {
-                constraints = candidate_constraints;
+            if let SolveOutcome::Sat(m) =
+                solver.solve_with_extra(&state.atoms, &constraints, &extra)
+            {
+                constraints.extend(extra);
                 model = m;
                 resolved = true;
                 break;
@@ -199,17 +199,14 @@ pub fn synthesize(
 /// Solves the path constraint, falling back to a partial model when the
 /// solver gives up (the workload is then "partially symbolic": unconstrained
 /// fields take defaults).
-fn best_effort_model(
-    solver: &mut Solver,
-    state: &ExecState,
-    constraints: &[Constraint],
-) -> (Model, ModelSource) {
-    match solver.solve(&state.atoms, constraints) {
+fn best_effort_model(solver: &mut Solver, state: &ExecState) -> (Model, ModelSource) {
+    match solver.solve_with_extra(&state.atoms, &state.constraints, &[]) {
         SolveOutcome::Sat(m) => (m, ModelSource::Full),
         _ => {
             // Retry with only the constraints that mention packet fields;
             // havoc-only constraints are reconciled separately anyway.
-            let field_only: Vec<Constraint> = constraints
+            let field_only: Vec<Constraint> = state
+                .constraints
                 .iter()
                 .filter(|c| {
                     c.atoms()

@@ -151,8 +151,8 @@ pub struct SlotTrace {
     pub intern_misses: u64,
     /// Advisory: the executing thread's intern-table size after the slot.
     pub intern_size: u64,
-    /// Advisory: query components the executing thread's solver solved and
-    /// reused during this slot.
+    /// Advisory: query components the executing thread's solver solved,
+    /// reused and read off the path during this slot.
     pub components: ComponentStats,
     /// Whether wall-clock sampling is on (set iff the run is traced).
     pub timing: bool,
@@ -226,8 +226,9 @@ pub struct SearchTrace {
     pub intern_misses: u64,
     /// Advisory: largest per-thread intern-table size observed.
     pub intern_size_peak: u64,
-    /// Advisory: query components solved and answered from a solver's
-    /// component cache, summed over slots, chain merge and synthesis.
+    /// Advisory: query components solved, answered from a solver's
+    /// component cache and read off the path constraint, summed over slots,
+    /// chain merge and synthesis.
     pub components: ComponentStats,
     /// Deterministic: synthesis runs by what their initial model was solved
     /// from (indexed by `ModelSource::ALL` order) — how often the workload
@@ -515,6 +516,7 @@ impl SearchTrace {
             .with("intern_size_peak", Json::U64(self.intern_size_peak))
             .with("components_solved", Json::U64(self.components.solved))
             .with("components_reused", Json::U64(self.components.reused))
+            .with("components_carried", Json::U64(self.components.carried))
             .with("explore_wall_ms", Json::fixed(ms(self.explore_ns), 3))
             .with("solve_wall_ms", Json::fixed(ms(self.solve_ns), 3))
             .with("merge_wall_ms", Json::fixed(ms(self.merge_ns), 3))
@@ -582,6 +584,7 @@ impl SearchTrace {
         reg.gauge("search.intern.size_peak", self.intern_size_peak as f64);
         reg.count("search.components.solved", self.components.solved);
         reg.count("search.components.reused", self.components.reused);
+        reg.count("search.components.carried", self.components.carried);
         for source in ModelSource::ALL {
             reg.count(
                 &format!("search.synthesis.{}", source.name()),

@@ -18,6 +18,15 @@
 //! order, and whether the solver's component cache is cold, warm, or was
 //! made to start over in the middle.
 //!
+//! **Against the flat query.** The engine does not put a query as a slice:
+//! it grows a path constraint one `push` at a time, forks it, and asks about
+//! it with one more constraint in between, and the path carries its slicing
+//! and its components' answers from push to push and fork to fork. Every
+//! prefix of every corpus query is asked that way too, and every query
+//! once more with its blocks interleaved and then tied together, so that
+//! components merge — in the query and on the path — and must answer what
+//! a fresh solver answers the same constraints as a flat slice.
+//!
 //! The corpus is built from *blocks*, each over its own atoms, so a query of
 //! several blocks is a multi-component system in block order. Together the
 //! blocks cover what the engine asks: direct / affine / mask / shift
@@ -28,6 +37,7 @@
 //! one.
 
 use castan_core::expr::Constraint;
+use castan_core::state::ConstraintSet;
 use castan_core::{AtomId, AtomTable, Model, SolveOutcome, Solver, SolverStats, SymExpr};
 use castan_ir::{BinOp, CmpOp};
 use castan_packet::PacketField;
@@ -366,9 +376,10 @@ fn ask(solver: &mut Solver, t: &AtomTable, query: &Query) -> (char, u64) {
     let words = match &query.ask {
         Ask::Extra(split) => {
             let (base, extra) = query.cs.split_at(*split);
-            outcome_words(t, &solver.solve_with_extra(t, base, extra))
+            let base = base.iter().cloned().collect();
+            outcome_words(t, &solver.solve_with_extra(t, &base, extra))
         }
-        Ask::Concretize(e) => match solver.concretize(t, &query.cs, e) {
+        Ask::Concretize(e) => match solver.concretize(t, &query.cs.iter().cloned().collect(), e) {
             Some(v) => vec![3, v],
             None => vec![4],
         },
@@ -521,6 +532,93 @@ fn an_answer_depends_on_the_query_alone() {
         check("in a shuffled corpus", q, ask(&mut solver, &t, &corpus[q]));
     }
 }
+
+#[test]
+fn a_path_grown_push_by_push_answers_what_the_flat_query_does() {
+    let t = table();
+    let corpus = corpus(&t);
+    let mut solver = Solver::default();
+    let flat = |cs: &[Constraint]| Solver::default().solve(&t, cs);
+    let (mut steps, mut ties, mut tied_digest) = (0, [0usize; 3], 0u64);
+    for (q, query) in corpus.iter().enumerate() {
+        let mut path = ConstraintSet::new();
+        for (i, c) in query.cs.iter().enumerate() {
+            let so_far = &query.cs[..=i];
+            // Between pushes: the path as it stands and the next constraint.
+            assert_eq!(
+                solver.solve_with_extra(&t, &path, std::slice::from_ref(c)),
+                flat(so_far),
+                "query {q}, constraint {i}, tentative"
+            );
+            // Both sides of a fork take it, and neither is the other's.
+            let mut fork = path.clone();
+            for side in [&mut path, &mut fork] {
+                side.push(c.clone());
+                assert_eq!(
+                    solver.solve_with_extra(&t, side, &[]),
+                    flat(so_far),
+                    "query {q}, constraint {i}, pushed"
+                );
+            }
+            steps += 1;
+        }
+        assert_eq!(path.len(), query.cs.len());
+
+        // The same constraints dealt out so that the blocks interleave, and
+        // then tied block to block, and to an atom nothing else constrains,
+        // through a thin hash bucket: two components whose members
+        // alternate become one that only the randomised completion can
+        // answer — and its draws are seeded by the members in query order.
+        // First in the query, then on a fork of the path; and against what
+        // batch slicing answered.
+        let (evens, odds) = (
+            query.cs.iter().step_by(2),
+            query.cs.iter().skip(1).step_by(2),
+        );
+        let woven: Vec<Constraint> = evens.chain(odds).cloned().collect();
+        let path: ConstraintSet = woven.iter().cloned().collect();
+        assert_eq!(solver.solve_with_extra(&t, &path, &[]), flat(&woven));
+        let mut firsts = woven.iter().filter_map(|c| c.atoms().first().copied());
+        let free = t
+            .ids()
+            .find(|z| woven.iter().all(|c| !c.atoms().contains(z)));
+        let (Some(x), Some(z)) = (firsts.next(), free) else {
+            continue;
+        };
+        for y in firsts.filter(|&y| y != x) {
+            let tangle = bin(BinOp::Xor, bin(BinOp::Xor, atom(x), atom(y)), atom(z));
+            let bucket = bin(BinOp::And, bin(BinOp::Mul, tangle, k(0x9E37_79B1)), k(0xff));
+            let tie = holds(cmp(CmpOp::Ugt, bucket, k(0xe0 + (q as u64 % 0x1c))));
+            let tied: Vec<Constraint> = woven.iter().chain([&tie]).cloned().collect();
+            let expected = flat(&tied);
+            assert_eq!(
+                solver.solve_with_extra(&t, &path, std::slice::from_ref(&tie)),
+                expected,
+                "query {q}, atoms {x} and {y} tied tentatively"
+            );
+            let mut fork = path.clone();
+            fork.push(tie);
+            assert_eq!(
+                solver.solve_with_extra(&t, &fork, &[]),
+                expected,
+                "query {q}, atoms {x} and {y} tied"
+            );
+            ties[outcome_words(&t, &expected)[0] as usize] += 1;
+            tied_digest = digest([tied_digest, digest(outcome_words(&t, &expected))]);
+        }
+    }
+    assert!(steps >= 1000, "{steps} steps");
+    assert_eq!(
+        (ties, tied_digest),
+        TIED_AT_1C4C695,
+        "a tied query answers differently than under batch slicing"
+    );
+}
+
+/// The tied queries of `a_path_grown_push_by_push_…` as 1c4c695 answered
+/// them — the last commit that partitioned a query from nothing: how many
+/// `Sat`, `Unsat` and `Unknown`, and the digest of all answers in order.
+const TIED_AT_1C4C695: ([usize; 3], u64) = ([136, 157, 555], 0xc3d6_99c3_3233_38ba);
 
 /// `SolverStats` after the last query: sat, unsat, unknown (as of the commit
 /// that reseeded the completion; 125, 55, 180 at 19ce1bd).

@@ -2737,7 +2737,10 @@ fn search_profile_docs() -> (String, String, Table) {
                     m.synth_models_from(ModelSource::Empty),
                     m.havocs_unreconciled,
                 ),
-                format!("{}/{}", m.components.solved, m.components.reused),
+                format!(
+                    "{}/{}/{}",
+                    m.components.solved, m.components.reused, m.components.carried
+                ),
             ]);
         }
     }
@@ -2755,7 +2758,7 @@ fn search_profile_docs() -> (String, String, Table) {
             "Prunes compl/in-flight/env".into(),
             "Truncated".into(),
             "Models full/field/empty · havocs unreconciled".into(),
-            "Components solved/reused".into(),
+            "Components solved/reused/carried".into(),
         ],
         rows,
     };

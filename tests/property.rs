@@ -539,10 +539,10 @@ proptest! {
 
     /// For a fixed seed the analysis report is identical — packet bytes,
     /// metrics, and exploration counters — no matter how many worker
-    /// threads execute the rounds, each behind a solver of its own that
-    /// answers most components from what it remembers of earlier queries:
-    /// which worker remembers what depends on the scheduling, what a query
-    /// answers must not.
+    /// threads execute the rounds, each behind a solver of its own, and
+    /// most components are answered by the path constraint they belong to —
+    /// from a slot whichever worker asked first has filled. Which worker
+    /// that was depends on the scheduling; what a query answers must not.
     #[test]
     fn reports_are_byte_identical_across_thread_counts(seed in 0u64..1_000) {
         use castan_suite::analysis::engine::AnalysisConfig;
@@ -560,8 +560,8 @@ proptest! {
             let (r, trace) = Castan::new(cfg).analyze_traced(&nf, &catalog);
             let components = trace.components;
             assert!(
-                components.reused > components.solved,
-                "{threads} threads: the component caches are not at work ({components:?})"
+                components.carried > components.reused,
+                "{threads} threads: the paths do not carry their answers ({components:?})"
             );
             let wire: Vec<Vec<u8>> = r.packets.iter().map(|p| p.to_bytes()).collect();
             format!(
