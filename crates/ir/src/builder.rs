@@ -409,7 +409,7 @@ impl ProgramBuilder {
             .enumerate()
             .map(|(i, f)| f.unwrap_or_else(|| panic!("function {i} declared but never defined")))
             .collect();
-        let program = Program { functions, entry };
+        let program = Program::new(functions, entry);
         if let Err(e) = program.validate() {
             panic!("builder produced an invalid program: {e}");
         }

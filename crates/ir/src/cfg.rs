@@ -75,7 +75,7 @@ pub struct Icfg {
     pub funcs: Vec<FuncGraph>,
 }
 
-fn class_of(inst: &Inst) -> CostClass {
+pub(crate) fn class_of(inst: &Inst) -> CostClass {
     match inst {
         Inst::Mov { .. } => CostClass::Mov,
         Inst::Bin { .. } => CostClass::Alu,
@@ -90,7 +90,7 @@ fn class_of(inst: &Inst) -> CostClass {
     }
 }
 
-fn class_of_term(term: &Terminator) -> CostClass {
+pub(crate) fn class_of_term(term: &Terminator) -> CostClass {
     match term {
         Terminator::Jump(_) => CostClass::Jump,
         Terminator::Branch { .. } => CostClass::Branch,

@@ -60,21 +60,78 @@ impl CostClass {
             CostClass::Native => 2,
         }
     }
+}
 
-    /// True for classes that retire as "instructions" in the per-packet
-    /// instruction counter (all of them do; kept for clarity at call sites).
-    pub fn counts_as_instruction(self) -> bool {
-        true
+/// What one basic block retires when it runs to its end: the class of each
+/// instruction in block order, then the terminator's, and their sums.
+///
+/// Built once per program, by [`Program::new`]; the interpreter hands it to
+/// [`ExecSink::retire_block`] as the block is entered.
+///
+/// [`Program::new`]: crate::Program::new
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct BlockCost {
+    classes: Box<[CostClass]>,
+    base_cycles: u64,
+}
+
+impl BlockCost {
+    /// Instructions the block retires, its terminator included.
+    #[inline]
+    pub fn instructions(&self) -> u64 {
+        self.classes.len() as u64
+    }
+
+    /// Sum of the base cycles of every class the block retires.
+    #[inline]
+    pub fn base_cycles(&self) -> u64 {
+        self.base_cycles
+    }
+
+    /// The retired classes, instructions in block order, then the
+    /// terminator.
+    pub(crate) fn classes(&self) -> &[CostClass] {
+        &self.classes
+    }
+}
+
+impl FromIterator<CostClass> for BlockCost {
+    fn from_iter<I: IntoIterator<Item = CostClass>>(iter: I) -> Self {
+        let classes: Box<[CostClass]> = iter.into_iter().collect();
+        let base_cycles = classes.iter().map(|c| c.base_cycles()).sum();
+        BlockCost {
+            classes,
+            base_cycles,
+        }
     }
 }
 
 /// Receives execution events from the interpreter (and from native helpers).
+///
+/// The contract: the interpreter charges IR instructions a whole basic block
+/// at a time, through one [`retire_block`](ExecSink::retire_block) as the
+/// block is entered — before any of the block's memory accesses, calls or
+/// native helpers run — while a native helper reports its internal work one
+/// instruction at a time through [`retire`](ExecSink::retire), between
+/// [`native_enter`](ExecSink::native_enter) and
+/// [`native_exit`](ExecSink::native_exit). A sink that only sums what it is
+/// charged sees the same totals per packet either way; a sink that needs
+/// each retirement in program order relative to memory accesses cannot have
+/// it from the interpreter.
 ///
 /// Implementations: the testbed's CPU model (charges cycles and walks the
 /// cache hierarchy), plain counters for tests, and [`NullSink`].
 pub trait ExecSink {
     /// An instruction of the given class retired.
     fn retire(&mut self, class: CostClass);
+    /// A basic block was entered and will retire every class in `cost`.
+    /// The default reports each class to [`retire`](ExecSink::retire) in
+    /// block order; sinks that only sum override it with the totals.
+    fn retire_block(&mut self, cost: &BlockCost) {
+        for &class in cost.classes() {
+            self.retire(class);
+        }
+    }
     /// A data-memory access of `width` bytes at `addr` occurred.
     fn mem_access(&mut self, addr: u64, width: u64, is_write: bool);
     /// The interpreter is about to run a native helper; every event until
@@ -95,6 +152,10 @@ impl<S: ExecSink + ?Sized> ExecSink for &mut S {
         (**self).retire(class)
     }
     #[inline]
+    fn retire_block(&mut self, cost: &BlockCost) {
+        (**self).retire_block(cost)
+    }
+    #[inline]
     fn mem_access(&mut self, addr: u64, width: u64, is_write: bool) {
         (**self).mem_access(addr, width, is_write)
     }
@@ -112,6 +173,7 @@ pub struct NullSink;
 
 impl ExecSink for NullSink {
     fn retire(&mut self, _class: CostClass) {}
+    fn retire_block(&mut self, _cost: &BlockCost) {}
     fn mem_access(&mut self, _addr: u64, _width: u64, _is_write: bool) {}
 }
 
@@ -132,6 +194,11 @@ impl ExecSink for CountingSink {
     fn retire(&mut self, class: CostClass) {
         self.instructions += 1;
         self.base_cycles += class.base_cycles();
+    }
+
+    fn retire_block(&mut self, cost: &BlockCost) {
+        self.instructions += cost.instructions();
+        self.base_cycles += cost.base_cycles();
     }
 
     fn mem_access(&mut self, _addr: u64, _width: u64, is_write: bool) {
@@ -166,7 +233,6 @@ mod tests {
         ];
         for c in classes {
             assert!(c.base_cycles() >= 1);
-            assert!(c.counts_as_instruction());
         }
         assert!(CostClass::Hash.base_cycles() > CostClass::Alu.base_cycles());
     }
@@ -182,6 +248,35 @@ mod tests {
         assert_eq!(s.loads, 1);
         assert_eq!(s.stores, 1);
         assert_eq!(s.base_cycles, 2);
+    }
+
+    #[test]
+    fn a_block_charge_is_its_classes_retired_in_order() {
+        let cost: BlockCost = [CostClass::Load, CostClass::Hash, CostClass::Branch]
+            .into_iter()
+            .collect();
+        assert_eq!(cost.instructions(), 3);
+        assert_eq!(cost.base_cycles(), 1 + 12 + 2);
+
+        /// Keeps only the per-class calls, so it sees the default.
+        struct Classes(Vec<CostClass>);
+        impl ExecSink for Classes {
+            fn retire(&mut self, class: CostClass) {
+                self.0.push(class);
+            }
+            fn mem_access(&mut self, _addr: u64, _width: u64, _is_write: bool) {}
+        }
+        let mut seen = Classes(Vec::new());
+        seen.retire_block(&cost);
+        assert_eq!(seen.0, cost.classes());
+
+        let mut summed = CountingSink::default();
+        summed.retire_block(&cost);
+        let mut per_class = CountingSink::default();
+        for &class in cost.classes() {
+            per_class.retire(class);
+        }
+        assert_eq!(summed, per_class);
     }
 
     #[test]

@@ -1,13 +1,19 @@
 //! Concrete interpreter.
 //!
 //! Executes one packet through an NF program against a [`DataMemory`],
-//! reporting every retired instruction and every memory access to an
-//! [`ExecSink`]. The testbed simulator plugs its CPU/cache cost model into
-//! that sink; tests usually use `CountingSink` or `NullSink`.
+//! reporting every memory access and, one basic block at a time as each
+//! block is entered, the instructions it retires to an [`ExecSink`]. The
+//! testbed simulator plugs its CPU/cache cost model into that sink; tests
+//! usually use `CountingSink` or `NullSink`.
+//!
+//! The step limit is checked once per block, against the block's whole
+//! instruction count: a run still fails exactly when its total executed
+//! instructions would exceed the limit, because every block a run enters it
+//! runs to its terminator unless the run fails.
 
 use castan_packet::Packet;
 
-use crate::cost::{CostClass, ExecSink};
+use crate::cost::ExecSink;
 use crate::inst::{BlockId, FuncId, Inst, Operand, Terminator};
 use crate::memory::DataMemory;
 use crate::native::NativeRegistry;
@@ -101,7 +107,7 @@ impl<'a> Interpreter<'a> {
 
     /// Executes the program's entry function for one packet.
     ///
-    /// Generic over the sink, so a concrete sink's `retire` and
+    /// Generic over the sink, so a concrete sink's `retire_block` and
     /// `mem_access` inline into the dispatch loop; `&mut dyn ExecSink`
     /// works as before.
     pub fn run_packet<S: ExecSink + ?Sized>(
@@ -163,6 +169,7 @@ impl<'a> Interpreter<'a> {
             return Err(ExecError::CallDepth);
         }
         let func = &self.program.functions[func_id as usize];
+        let costs = self.program.block_costs(func_id);
         let base = env.stack.len();
         env.stack.resize(base + func.num_regs as usize, 0);
         for (i, arg) in args.iter().enumerate() {
@@ -174,25 +181,24 @@ impl<'a> Interpreter<'a> {
             if let Some(trace) = env.trace.as_deref_mut() {
                 trace.push((func_id, block));
             }
+            let cost = &costs[block as usize];
+            env.steps += cost.instructions();
+            if env.steps > self.limits.max_steps {
+                return Err(ExecError::StepLimit);
+            }
+            env.sink.retire_block(cost);
             let blk = &func.blocks[block as usize];
             for inst in &blk.insts {
-                env.step(self.limits.max_steps)?;
                 self.exec_inst(inst, base, env, depth)?;
             }
-            // Terminator.
-            env.step(self.limits.max_steps)?;
             let regs = &env.stack[base..];
             match &blk.term {
-                Terminator::Jump(target) => {
-                    env.sink.retire(CostClass::Jump);
-                    block = *target;
-                }
+                Terminator::Jump(target) => block = *target,
                 Terminator::Branch {
                     cond,
                     then_bb,
                     else_bb,
                 } => {
-                    env.sink.retire(CostClass::Branch);
                     block = if eval(cond, regs) != 0 {
                         *then_bb
                     } else {
@@ -200,7 +206,6 @@ impl<'a> Interpreter<'a> {
                     };
                 }
                 Terminator::Return(v) => {
-                    env.sink.retire(CostClass::Return);
                     let ret = v.as_ref().map(|op| eval(op, regs));
                     env.stack.truncate(base);
                     return Ok(ret);
@@ -209,7 +214,8 @@ impl<'a> Interpreter<'a> {
         }
     }
 
-    /// Executes one instruction of the frame at `base`.
+    /// Executes one instruction of the frame at `base` (its retirement was
+    /// charged with its block's).
     #[inline]
     fn exec_inst<S: ExecSink + ?Sized>(
         &self,
@@ -221,15 +227,12 @@ impl<'a> Interpreter<'a> {
         let regs = &mut env.stack[base..];
         match inst {
             Inst::Mov { dst, src } => {
-                env.sink.retire(CostClass::Mov);
                 regs[*dst as usize] = eval(src, regs);
             }
             Inst::Bin { dst, op, a, b } => {
-                env.sink.retire(CostClass::Alu);
                 regs[*dst as usize] = op.eval(eval(a, regs), eval(b, regs));
             }
             Inst::Cmp { dst, op, a, b } => {
-                env.sink.retire(CostClass::Cmp);
                 regs[*dst as usize] = u64::from(op.eval(eval(a, regs), eval(b, regs)));
             }
             Inst::Select {
@@ -238,7 +241,6 @@ impl<'a> Interpreter<'a> {
                 then_v,
                 else_v,
             } => {
-                env.sink.retire(CostClass::Select);
                 regs[*dst as usize] = if eval(cond, regs) != 0 {
                     eval(then_v, regs)
                 } else {
@@ -246,37 +248,31 @@ impl<'a> Interpreter<'a> {
                 };
             }
             Inst::Load { dst, addr, width } => {
-                env.sink.retire(CostClass::Load);
                 let a = eval(addr, regs);
                 env.sink.mem_access(a, width.bytes(), false);
                 regs[*dst as usize] = env.mem.read(a, width.bytes());
             }
             Inst::Store { addr, value, width } => {
-                env.sink.retire(CostClass::Store);
                 let a = eval(addr, regs);
                 env.sink.mem_access(a, width.bytes(), true);
                 env.mem.write(a, eval(value, regs), width.bytes());
             }
             Inst::PacketField { dst, field } => {
-                env.sink.retire(CostClass::PacketRead);
                 regs[*dst as usize] = env.packet.field(*field);
             }
             Inst::Hash { dst, func, args } => {
-                env.sink.retire(CostClass::Hash);
                 let top = env.push_args(args, base);
                 let hash = func.apply(&env.stack[top..]);
                 env.stack.truncate(top);
                 env.stack[base + *dst as usize] = hash;
             }
             Inst::Call { dst, func, args } => {
-                env.sink.retire(CostClass::Call);
                 let ret = self.exec_function(*func, args, base, env, depth + 1)?;
                 if let (Some(d), Some(v)) = (dst, ret) {
                     env.stack[base + *d as usize] = v;
                 }
             }
             Inst::Native { dst, func, args } => {
-                env.sink.retire(CostClass::Native);
                 let top = env.push_args(args, base);
                 let helper = self
                     .natives
@@ -310,16 +306,6 @@ struct ExecEnv<'e, S: ExecSink + ?Sized> {
 }
 
 impl<S: ExecSink + ?Sized> ExecEnv<'_, S> {
-    /// Counts one executed instruction against the step limit.
-    #[inline]
-    fn step(&mut self, max_steps: u64) -> Result<(), ExecError> {
-        self.steps += 1;
-        if self.steps > max_steps {
-            return Err(ExecError::StepLimit);
-        }
-        Ok(())
-    }
-
     /// Evaluates `args` in the frame at `base` and pushes the values on the
     /// stack; returns where they start. The caller truncates back to it.
     fn push_args(&mut self, args: &[Operand], base: usize) -> usize {
@@ -527,6 +513,54 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, ExecError::StepLimit);
         assert!(err.to_string().contains("step limit"));
+    }
+
+    #[test]
+    fn step_limit_is_exact_at_the_boundary() {
+        // main: mov, call double, add, mov, ret (5 steps in one block);
+        // double: add, ret (2 steps per call) — 7 steps in all. In execution
+        // order the 7th step is main's return, after the call, so a limit of
+        // 6 falls inside the block that contains the call.
+        let mut pb = ProgramBuilder::new();
+        let double = pb.declare("double", 1);
+        let main = pb.declare("main", 0);
+        let mut db = FunctionBuilder::new("double", 1);
+        let out = db.add(db.param(0), db.param(0));
+        db.ret(out);
+        pb.define(double, db);
+        let mut mb = FunctionBuilder::new("main", 0);
+        let a = mb.mov(20u64);
+        let b = mb.call(double, vec![a.into()]);
+        let c = mb.add(b, 2u64);
+        let d = mb.mov(c);
+        mb.ret(d);
+        pb.define(main, mb);
+        let program = pb.finish(main);
+        assert_eq!(program.functions[main as usize].blocks.len(), 1);
+
+        let natives = NativeRegistry::new();
+        let packet = PacketBuilder::new().build();
+        let run_with = |max_steps: u64| {
+            let interp = Interpreter::new(&program, &natives).with_limits(RunLimits {
+                max_steps,
+                max_call_depth: 8,
+            });
+            let mut sink = CountingSink::default();
+            interp
+                .run_packet(&mut DataMemory::new(), &packet, &mut sink)
+                .map(|res| (res, sink))
+        };
+        let (res, sink) = run_with(7).unwrap();
+        assert_eq!((res.return_value, res.steps), (Some(42), 7));
+        assert_eq!(sink.instructions, 7);
+        assert_eq!(run_with(6).unwrap_err(), ExecError::StepLimit);
+        for max_steps in 0..=9 {
+            assert_eq!(
+                run_with(max_steps).is_ok(),
+                max_steps >= 7,
+                "limit {max_steps}"
+            );
+        }
     }
 
     #[test]

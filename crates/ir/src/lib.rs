@@ -42,7 +42,7 @@ pub mod program;
 
 pub use builder::{FunctionBuilder, ProgramBuilder};
 pub use cfg::{Icfg, NodeId};
-pub use cost::{CostClass, ExecSink, NullSink};
+pub use cost::{BlockCost, CostClass, ExecSink, NullSink};
 pub use hashes::HashFunc;
 pub use inst::{BinOp, BlockId, CmpOp, FuncId, Inst, Operand, Reg, Terminator, Width};
 pub use interp::{BlockTrace, ExecError, ExecResult, Interpreter, RunLimits};

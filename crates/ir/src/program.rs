@@ -1,5 +1,7 @@
 //! Programs, functions, and basic blocks, plus structural validation.
 
+use crate::cfg::{class_of, class_of_term};
+use crate::cost::BlockCost;
 use crate::inst::{BlockId, FuncId, Inst, Operand, Reg, Terminator};
 
 /// A basic block: straight-line instructions plus one terminator.
@@ -34,12 +36,19 @@ impl Function {
 }
 
 /// A whole NF program.
+///
+/// Built by [`Program::new`] (or a [`ProgramBuilder`](crate::ProgramBuilder)),
+/// which derives what each block retires; editing `functions` afterwards
+/// does not re-derive it.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Program {
     /// All functions.
     pub functions: Vec<Function>,
     /// The per-packet entry point.
     pub entry: FuncId,
+    /// What each block retires, indexed like `functions[f].blocks[b]`;
+    /// derived from the blocks by [`Program::new`].
+    costs: Vec<Box<[BlockCost]>>,
 }
 
 /// Structural validation failures.
@@ -123,6 +132,37 @@ impl std::fmt::Display for ValidationError {
 impl std::error::Error for ValidationError {}
 
 impl Program {
+    /// Assembles a program and derives what each of its blocks retires.
+    pub fn new(functions: Vec<Function>, entry: FuncId) -> Program {
+        let costs = functions
+            .iter()
+            .map(|f| {
+                f.blocks
+                    .iter()
+                    .map(|b| {
+                        b.insts
+                            .iter()
+                            .map(class_of)
+                            .chain(std::iter::once(class_of_term(&b.term)))
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect();
+        Program {
+            functions,
+            entry,
+            costs,
+        }
+    }
+
+    /// What each block of function `func` retires when it runs, indexed by
+    /// block.
+    #[inline]
+    pub(crate) fn block_costs(&self, func: FuncId) -> &[BlockCost] {
+        &self.costs[func as usize]
+    }
+
     /// Validates structural well-formedness; the interpreter and the
     /// symbolic engine both assume a validated program.
     pub fn validate(&self) -> Result<(), ValidationError> {
@@ -299,10 +339,7 @@ mod tests {
 
     #[test]
     fn valid_trivial_program() {
-        let p = Program {
-            functions: vec![trivial_function("f")],
-            entry: 0,
-        };
+        let p = Program::new(vec![trivial_function("f")], 0);
         assert!(p.validate().is_ok());
         assert_eq!(p.total_nodes(), 2);
         assert_eq!(p.entry_function().name, "f");
@@ -310,15 +347,9 @@ mod tests {
 
     #[test]
     fn detects_bad_entry() {
-        let p = Program {
-            functions: vec![],
-            entry: 0,
-        };
+        let p = Program::new(vec![], 0);
         assert_eq!(p.validate(), Err(ValidationError::BadEntry));
-        let p2 = Program {
-            functions: vec![trivial_function("f")],
-            entry: 5,
-        };
+        let p2 = Program::new(vec![trivial_function("f")], 5);
         assert_eq!(p2.validate(), Err(ValidationError::BadEntry));
     }
 
@@ -326,10 +357,7 @@ mod tests {
     fn detects_bad_block_target() {
         let mut f = trivial_function("f");
         f.blocks[0].term = Terminator::Jump(9);
-        let p = Program {
-            functions: vec![f],
-            entry: 0,
-        };
+        let p = Program::new(vec![f], 0);
         assert!(matches!(
             p.validate(),
             Err(ValidationError::BadBlockTarget { target: 9, .. })
@@ -345,10 +373,7 @@ mod tests {
             a: Operand::Reg(0),
             b: Operand::Imm(0),
         });
-        let p = Program {
-            functions: vec![f],
-            entry: 0,
-        };
+        let p = Program::new(vec![f], 0);
         assert!(matches!(
             p.validate(),
             Err(ValidationError::BadRegister { reg: 77, .. })
@@ -363,10 +388,7 @@ mod tests {
             func: 3,
             args: vec![],
         });
-        let p = Program {
-            functions: vec![caller.clone(), trivial_function("callee")],
-            entry: 0,
-        };
+        let p = Program::new(vec![caller.clone(), trivial_function("callee")], 0);
         assert!(matches!(
             p.validate(),
             Err(ValidationError::BadCallTarget { callee: 3, .. })
@@ -378,10 +400,7 @@ mod tests {
             func: 1,
             args: vec![Operand::Imm(0)],
         });
-        let p = Program {
-            functions: vec![caller, trivial_function("callee")],
-            entry: 0,
-        };
+        let p = Program::new(vec![caller, trivial_function("callee")], 0);
         assert!(matches!(
             p.validate(),
             Err(ValidationError::ArityMismatch {
@@ -410,10 +429,7 @@ mod tests {
             value: Operand::Imm(0),
             width: Width::W8,
         });
-        let p = Program {
-            functions: vec![f],
-            entry: 0,
-        };
+        let p = Program::new(vec![f], 0);
         assert!(matches!(
             p.validate(),
             Err(ValidationError::BadRegister { reg: 99, .. })

@@ -19,6 +19,12 @@
 //! first `#[cfg(test)]` line on) are exempt: tests may use maps and clocks
 //! freely. CI runs the binary; `cargo test -p castan-lint` runs the same
 //! scan in-process so the gate also fires locally.
+//!
+//! `castan-lint --loc [root]` instead prints the workspace's code size, the
+//! figure every change reports: the non-test lines (every line of
+//! `crates/*/src/**/*.rs` and `src/**/*.rs` before the file's first
+//! `#[cfg(test)]`) and the total lines (every line of every `.rs` file under
+//! `crates/`, `src/` and `tests/`). It reports, it does not gate.
 
 use std::fmt;
 use std::fs;
@@ -176,7 +182,9 @@ fn skip_dir(name: &str) -> bool {
         || name.starts_with('.')
 }
 
-fn collect_rs_files(root: &Path, out: &mut Vec<PathBuf>) {
+/// Every `.rs` file under `root`, recursively and in path order, except
+/// below directories whose name `skip` accepts.
+fn collect_rs_files(root: &Path, skip: &dyn Fn(&str) -> bool, out: &mut Vec<PathBuf>) {
     let Ok(entries) = fs::read_dir(root) else {
         return;
     };
@@ -185,8 +193,8 @@ fn collect_rs_files(root: &Path, out: &mut Vec<PathBuf>) {
     for path in entries {
         if path.is_dir() {
             let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            if !skip_dir(name) {
-                collect_rs_files(&path, out);
+            if !skip(name) {
+                collect_rs_files(&path, skip, out);
             }
         } else if path.extension().and_then(|e| e.to_str()) == Some("rs") {
             out.push(path);
@@ -229,7 +237,7 @@ fn run(root: &Path) -> Verdict {
         .map(|c| parse_allowlist(&c))
         .unwrap_or_default();
     let mut files = Vec::new();
-    collect_rs_files(root, &mut files);
+    collect_rs_files(root, &skip_dir, &mut files);
     let mut findings = Vec::new();
     for file in files {
         let Ok(content) = fs::read_to_string(&file) else {
@@ -245,15 +253,54 @@ fn run(root: &Path) -> Verdict {
     judge(allows, findings)
 }
 
+/// (non-test lines, total lines) of the workspace at `root`; see the module
+/// doc for what each counts.
+fn line_counts(root: &Path) -> (usize, usize) {
+    let read = |file: &PathBuf| fs::read_to_string(file).unwrap_or_default();
+    let all = |_: &str| false;
+    let mut sources = Vec::new();
+    for krate in fs::read_dir(root.join("crates"))
+        .into_iter()
+        .flatten()
+        .flatten()
+    {
+        collect_rs_files(&krate.path().join("src"), &all, &mut sources);
+    }
+    collect_rs_files(&root.join("src"), &all, &mut sources);
+    let non_test = sources
+        .iter()
+        .map(|f| {
+            read(f)
+                .lines()
+                .take_while(|line| !line.contains("#[cfg(test)]"))
+                .count()
+        })
+        .sum();
+    let mut every = Vec::new();
+    for dir in ["crates", "src", "tests"] {
+        collect_rs_files(&root.join(dir), &all, &mut every);
+    }
+    let total = every.iter().map(|f| read(f).lines().count()).sum();
+    (non_test, total)
+}
+
 fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
 fn main() -> ExitCode {
-    let root = std::env::args()
-        .nth(1)
-        .map(PathBuf::from)
-        .unwrap_or_else(repo_root);
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let loc = args.first().is_some_and(|a| a == "--loc");
+    if loc {
+        args.remove(0);
+    }
+    let root = args.first().map(PathBuf::from).unwrap_or_else(repo_root);
+    if loc {
+        let (non_test, total) = line_counts(&root);
+        println!("non-test lines: {non_test}");
+        println!("total lines: {total}");
+        return ExitCode::SUCCESS;
+    }
     let verdict = run(&root);
     if verdict.is_clean() {
         println!("castan-lint: clean");
@@ -300,6 +347,30 @@ mod tests {
                 .collect::<Vec<_>>()
                 .join("\n")
         );
+    }
+
+    #[test]
+    fn line_counts_stop_at_the_test_module_and_total_everything() {
+        let root = std::env::temp_dir().join(format!("castan-lint-loc-{}", std::process::id()));
+        let write = |rel: &str, text: &str| {
+            let path = root.join(rel);
+            fs::create_dir_all(path.parent().unwrap()).unwrap();
+            fs::write(path, text).unwrap();
+        };
+        write(
+            "crates/a/src/lib.rs",
+            "fn a() {}\n\n#[cfg(test)]\nmod tests {}\n",
+        );
+        write("crates/a/src/deep/m.rs", "fn m() {}\n");
+        write("crates/a/tests/t.rs", "fn t() {}\nfn u() {}\n");
+        write("crates/a/src/notes.txt", "not rust\n");
+        write("src/lib.rs", "pub use a;\n");
+        write("tests/e2e.rs", "#[test]\nfn e2e() {}\n");
+        write("examples/x.rs", "fn main() {}\n");
+        let counts = line_counts(&root);
+        fs::remove_dir_all(&root).ok();
+        // Non-test: 2 + 1 + 1. Total: 4 + 1 + 2 + 1 + 2 (examples/ excluded).
+        assert_eq!(counts, (4, 10));
     }
 
     #[test]

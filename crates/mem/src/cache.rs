@@ -3,8 +3,34 @@
 //! Used for L1d, L2, and each L3 slice. The model tracks only cache-line
 //! *presence* (tags), not data — data contents live in the IR interpreter's
 //! memory; this crate only answers "hit or miss, and at what cost".
+//!
+//! # Recency stamps
+//!
+//! Recency is kept as a `u32` last-use stamp per way, fed by one clock per
+//! cache that ticks on every [`access`](SetAssocCache::access): a hit is a
+//! single store of the new tick into the way's stamp, and a fill stamps the
+//! way it fills. On a miss the victim is the first empty way, else the way
+//! with the smallest stamp.
+//!
+//! That is exactly the victim of true LRU kept as an ordered list (move a
+//! way to the front on every hit and fill, evict the back). A way only gets
+//! a tag through a fill, and that fill stamps it, so in a full set every
+//! way's stamp is the tick of its last hit or fill: the stamps order the
+//! ways the way the list would, and the smallest is the list's back. Stale
+//! stamps of empty ways (after [`invalidate`](SetAssocCache::invalidate) or
+//! [`clear`](SetAssocCache::clear)) never matter, because an empty way is
+//! chosen before any stamp is compared; and ticks are unique, so stamps of
+//! resident lines never tie.
+//!
+//! When the clock is about to wrap, every set's stamps are renumbered to
+//! their rank order (`0..ways`) and the clock restarts just above them.
+//! Ranks keep the order, so no victim changes, and memory stays at 4 bytes
+//! per way.
 
 use crate::LINE_SIZE;
+
+/// Tag of an empty way.
+const EMPTY: u64 = u64::MAX;
 
 /// One set-associative cache array.
 #[derive(Clone, Debug)]
@@ -12,11 +38,12 @@ pub struct SetAssocCache {
     ways: usize,
     set_mask: u64,
     set_bits: u32,
-    /// `sets × ways` tags; `u64::MAX` marks an empty way.
+    /// `sets × ways` tags; [`EMPTY`] marks an empty way.
     tags: Vec<u64>,
-    /// LRU ordering per set: `lru[set * ways + i]` is the way index of the
-    /// i-th most recently used way.
-    lru: Vec<u32>,
+    /// `sets × ways` last-use stamps, parallel to `tags`.
+    stamps: Vec<u32>,
+    /// The last stamp handed out.
+    clock: u32,
     hits: u64,
     misses: u64,
 }
@@ -44,10 +71,9 @@ impl SetAssocCache {
             ways,
             set_mask: sets - 1,
             set_bits: sets.trailing_zeros(),
-            tags: vec![u64::MAX; sets as usize * ways],
-            lru: (0..sets as usize)
-                .flat_map(|_| (0..ways as u32).collect::<Vec<_>>())
-                .collect(),
+            tags: vec![EMPTY; sets as usize * ways],
+            stamps: vec![0; sets as usize * ways],
+            clock: 0,
             hits: 0,
             misses: 0,
         }
@@ -82,32 +108,33 @@ impl SetAssocCache {
 
     /// Looks up `line_addr`, filling it on a miss; returns hit/miss and any
     /// evicted line address.
+    #[inline]
     pub fn access(&mut self, line_addr: u64) -> FillResult {
+        let now = self.tick();
         let set = self.set_of_line(line_addr) as usize;
         let tag = self.tag_of_line(line_addr);
         let base = set * self.ways;
         let tags = &mut self.tags[base..base + self.ways];
-        let lru = &mut self.lru[base..base + self.ways];
+        let stamps = &mut self.stamps[base..base + self.ways];
 
         if let Some(way) = tags.iter().position(|&t| t == tag) {
             self.hits += 1;
-            promote(lru, way as u32);
+            stamps[way] = now;
             return FillResult {
                 hit: true,
                 evicted: None,
             };
         }
         self.misses += 1;
-        // Victim is the least recently used way (last in the LRU order);
-        // prefer an empty way if one exists.
-        let victim_way = tags
-            .iter()
-            .position(|&t| t == u64::MAX)
-            .unwrap_or_else(|| lru[self.ways - 1] as usize);
+        let victim_way = tags.iter().position(|&t| t == EMPTY).unwrap_or_else(|| {
+            (0..stamps.len())
+                .min_by_key(|&way| stamps[way])
+                .expect("a set has at least one way")
+        });
         let evicted_tag = tags[victim_way];
         tags[victim_way] = tag;
-        promote(lru, victim_way as u32);
-        let evicted = if evicted_tag == u64::MAX {
+        stamps[victim_way] = now;
+        let evicted = if evicted_tag == EMPTY {
             None
         } else {
             Some(((evicted_tag << self.set_bits) | set as u64) * LINE_SIZE)
@@ -118,6 +145,33 @@ impl SetAssocCache {
         }
     }
 
+    /// Advances the clock and returns the new stamp, first renumbering every
+    /// set's stamps to their rank order if the clock would wrap.
+    #[inline]
+    fn tick(&mut self) -> u32 {
+        if self.clock == u32::MAX {
+            self.renormalize();
+        }
+        self.clock += 1;
+        self.clock
+    }
+
+    /// Rewrites each set's stamps as their ranks `0..ways` (same order) and
+    /// sets the clock to the largest rank.
+    #[cold]
+    fn renormalize(&mut self) {
+        let mut order: Vec<usize> = Vec::with_capacity(self.ways);
+        for stamps in self.stamps.chunks_exact_mut(self.ways) {
+            order.clear();
+            order.extend(0..stamps.len());
+            order.sort_unstable_by_key(|&way| stamps[way]);
+            for (rank, &way) in order.iter().enumerate() {
+                stamps[way] = rank as u32;
+            }
+        }
+        self.clock = self.ways as u32 - 1;
+    }
+
     /// Invalidates a line if present (used when an inclusive outer level
     /// evicts it).
     pub fn invalidate(&mut self, line_addr: u64) {
@@ -126,14 +180,14 @@ impl SetAssocCache {
         let base = set * self.ways;
         for t in &mut self.tags[base..base + self.ways] {
             if *t == tag {
-                *t = u64::MAX;
+                *t = EMPTY;
             }
         }
     }
 
     /// Empties the cache and resets statistics.
     pub fn clear(&mut self) {
-        self.tags.fill(u64::MAX);
+        self.tags.fill(EMPTY);
         self.hits = 0;
         self.misses = 0;
     }
@@ -150,7 +204,7 @@ impl SetAssocCache {
         for set in 0..=self.set_mask {
             let base = set as usize * self.ways;
             for &tag in &self.tags[base..base + self.ways] {
-                if tag != u64::MAX {
+                if tag != EMPTY {
                     out.push(((tag << self.set_bits) | set) * LINE_SIZE);
                 }
             }
@@ -159,17 +213,152 @@ impl SetAssocCache {
     }
 }
 
-/// Moves `way` to the front of the per-set LRU order.
-fn promote(lru: &mut [u32], way: u32) {
-    if let Some(pos) = lru.iter().position(|&w| w == way) {
-        lru[..=pos].rotate_right(1);
-        lru[0] = way;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The ordered-list true LRU the stamps replaced: per set, the way
+    /// indices most recently used first; a hit or fill moves its way to the
+    /// front, and a miss fills the first empty way, else the last listed.
+    struct ListLru {
+        ways: usize,
+        sets: u64,
+        tags: Vec<u64>,
+        lru: Vec<usize>,
+        stats: (u64, u64),
+    }
+
+    impl ListLru {
+        fn new(sets: u64, ways: u32) -> Self {
+            let ways = ways as usize;
+            let lru = (0..sets as usize).flat_map(|_| 0..ways).collect();
+            let tags = vec![EMPTY; sets as usize * ways];
+            ListLru {
+                ways,
+                sets,
+                tags,
+                lru,
+                stats: (0, 0),
+            }
+        }
+
+        /// (first slot of the line's set, the line's tag).
+        fn slot(&self, line: u64) -> (usize, u64) {
+            let index = line / LINE_SIZE;
+            let base = (index & (self.sets - 1)) as usize * self.ways;
+            (base, index >> self.sets.trailing_zeros())
+        }
+
+        fn access(&mut self, line: u64) -> FillResult {
+            let (base, tag) = self.slot(line);
+            let tags = &mut self.tags[base..base + self.ways];
+            let lru = &mut self.lru[base..base + self.ways];
+            let (way, hit) = match tags.iter().position(|&t| t == tag) {
+                Some(way) => (way, true),
+                None => (
+                    tags.iter()
+                        .position(|&t| t == EMPTY)
+                        .unwrap_or(lru[lru.len() - 1]),
+                    false,
+                ),
+            };
+            let pos = lru.iter().position(|&w| w == way).unwrap();
+            lru[..=pos].rotate_right(1);
+            let old = std::mem::replace(&mut tags[way], tag);
+            let set = (base / self.ways) as u64;
+            let evicted = (!hit && old != EMPTY)
+                .then(|| ((old << self.sets.trailing_zeros()) | set) * LINE_SIZE);
+            if hit {
+                self.stats.0 += 1
+            } else {
+                self.stats.1 += 1
+            }
+            FillResult { hit, evicted }
+        }
+
+        fn invalidate(&mut self, line: u64) {
+            let (base, tag) = self.slot(line);
+            for t in &mut self.tags[base..base + self.ways] {
+                if *t == tag {
+                    *t = EMPTY;
+                }
+            }
+        }
+    }
+
+    /// Drives `c` and the list reference through `ops` (`op % 16`: 0
+    /// invalidates, 1 clears, anything else accesses line `line`) and
+    /// asserts they never disagree.
+    fn assert_matches_list_lru(mut c: SetAssocCache, ops: &[(u8, u64)]) {
+        let mut reference = ListLru::new(c.sets(), c.ways());
+        for &(op, line) in ops {
+            let line = line * LINE_SIZE;
+            match op % 16 {
+                0 => {
+                    c.invalidate(line);
+                    reference.invalidate(line);
+                }
+                1 => {
+                    c.clear();
+                    reference.tags.fill(EMPTY);
+                    reference.stats = (0, 0);
+                }
+                _ => assert_eq!(c.access(line), reference.access(line), "access {line:#x}"),
+            }
+            let (base, tag) = reference.slot(line);
+            let listed = reference.tags[base..base + reference.ways].contains(&tag);
+            assert_eq!(c.contains(line), listed, "contains {line:#x}");
+            assert_eq!(c.stats(), reference.stats);
+        }
+        assert_eq!(c.tags, reference.tags, "same line in every way");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Stamps evict exactly what the ordered list evicts, on 1-, 2-, 8-
+        /// and 20-way sets, from a fresh clock and from one about to wrap.
+        #[test]
+        fn stamps_evict_what_the_ordered_list_evicts(
+            geometry in 0usize..8,
+            clock_gap in 0u32..64,
+            ops in proptest::collection::vec((any::<u8>(), 0u64..96), 1..600),
+        ) {
+            let ways = [1u32, 2, 8, 20][geometry % 4];
+            let sets = if geometry < 4 { 1 } else { 2 };
+            let mut c = SetAssocCache::new(sets, ways);
+            if geometry % 2 == 1 {
+                c.clock = u32::MAX - clock_gap;
+            }
+            assert_matches_list_lru(c, &ops);
+        }
+    }
+
+    #[test]
+    fn stamps_survive_the_clock_wrap() {
+        // 1 set, 2 ways: the two fills take the last two stamps before the
+        // wrap, the hit on line 0 crosses it, so line 64 must be the victim.
+        let mut c = SetAssocCache::new(1, 2);
+        c.clock = u32::MAX - 2;
+        c.access(0);
+        c.access(64);
+        assert_eq!(c.clock, u32::MAX);
+        assert!(c.access(0).hit);
+        assert_eq!(c.clock, 2, "renumbered to ranks 0, 1; then ticked");
+        assert_eq!(c.access(128).evicted, Some(64));
+        assert!(c.contains(0) && c.contains(128));
+
+        // A full 8-way set touched in a scrambled order across the wrap.
+        let mut c = SetAssocCache::new(2, 8);
+        c.clock = u32::MAX - 20;
+        let ops: Vec<(u8, u64)> = (0..16u64)
+            .chain([6, 0, 14, 2, 8, 4, 12, 10].into_iter().cycle().take(40))
+            .chain((16..40).map(|l| l * 2))
+            .map(|l| (2, l))
+            .collect();
+        assert_matches_list_lru(c, &ops);
+    }
 
     #[test]
     fn hit_after_fill() {

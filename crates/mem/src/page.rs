@@ -11,15 +11,16 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::collections::HashMap;
 
 /// A deterministic virtual-to-physical page mapping.
 #[derive(Clone, Debug)]
 pub struct PageTable {
     page_bits: u32,
-    /// Physical page frame assigned to each virtual page, filled lazily but
-    /// deterministically from the permutation below.
-    mapping: HashMap<u64, u64>,
+    /// `(page, frame)` for every virtual page touched so far, sorted by
+    /// page: filled lazily but deterministically from the permutation below.
+    /// Only a handful of huge pages are ever live, so a binary search over
+    /// this beats hashing the page number.
+    mapping: Vec<(u64, u64)>,
     /// Pre-shuffled pool of physical frames to hand out.
     frame_pool: Vec<u64>,
     next_frame: usize,
@@ -44,7 +45,7 @@ impl PageTable {
         frame_pool.shuffle(&mut rng);
         PageTable {
             page_bits,
-            mapping: HashMap::new(),
+            mapping: Vec::new(),
             frame_pool,
             next_frame: 0,
             last: None,
@@ -69,23 +70,33 @@ impl PageTable {
         let offset = vaddr & ((1u64 << self.page_bits) - 1);
         let frame = match self.last {
             Some((p, frame)) if p == page => frame,
-            _ => {
-                let frame = *self.mapping.entry(page).or_insert_with(|| {
-                    assert!(
-                        self.next_frame < self.frame_pool.len(),
-                        "page table out of physical frames: more than {} pages mapped \
-                         with page_bits = {}",
-                        self.frame_pool.len(),
-                        self.page_bits,
-                    );
-                    self.next_frame += 1;
-                    self.frame_pool[self.next_frame - 1]
-                });
-                self.last = Some((page, frame));
+            _ => self.frame_of(page),
+        };
+        (frame << self.page_bits) | offset
+    }
+
+    /// The frame of `page`, allocated on first touch; remembered as the
+    /// last page translated.
+    #[cold]
+    fn frame_of(&mut self, page: u64) -> u64 {
+        let frame = match self.mapping.binary_search_by_key(&page, |&(p, _)| p) {
+            Ok(i) => self.mapping[i].1,
+            Err(i) => {
+                assert!(
+                    self.next_frame < self.frame_pool.len(),
+                    "page table out of physical frames: more than {} pages mapped \
+                     with page_bits = {}",
+                    self.frame_pool.len(),
+                    self.page_bits,
+                );
+                let frame = self.frame_pool[self.next_frame];
+                self.next_frame += 1;
+                self.mapping.insert(i, (page, frame));
                 frame
             }
         };
-        (frame << self.page_bits) | offset
+        self.last = Some((page, frame));
+        frame
     }
 
     /// Translates without allocating; returns `None` for unmapped pages.
@@ -93,8 +104,9 @@ impl PageTable {
         let page = vaddr >> self.page_bits;
         let offset = vaddr & ((1u64 << self.page_bits) - 1);
         self.mapping
-            .get(&page)
-            .map(|frame| (frame << self.page_bits) | offset)
+            .binary_search_by_key(&page, |&(p, _)| p)
+            .ok()
+            .map(|i| (self.mapping[i].1 << self.page_bits) | offset)
     }
 
     /// Number of virtual pages touched so far.

@@ -1,8 +1,10 @@
 //! The interpreter is generic over its sink. Whether the sink arrives as
 //! `&mut dyn ExecSink` or monomorphised must change nothing: the result, the
-//! final memory, and every event, in order, are the same for every NF.
+//! final memory, and every event, in order, are the same for every NF. The
+//! recorder keeps each block charge whole, so a `&mut dyn` path that fell
+//! back to per-class `retire` calls would show up as a different stream.
 
-use castan_ir::{CostClass, DataMemory, ExecResult, ExecSink, Interpreter};
+use castan_ir::{BlockCost, CostClass, DataMemory, ExecResult, ExecSink, Interpreter};
 use castan_nf::{all_nfs, layout, NfKind, NfSpec};
 use castan_packet::{Ipv4Addr, Packet, PacketBuilder};
 use rand::rngs::StdRng;
@@ -10,6 +12,7 @@ use rand::{Rng, SeedableRng};
 
 #[derive(Clone, Debug, PartialEq, Eq)]
 enum Event {
+    Block(BlockCost),
     Retire(CostClass),
     Mem(u64, u64, bool),
     NativeEnter,
@@ -22,6 +25,9 @@ struct Recorder(Vec<Event>);
 impl ExecSink for Recorder {
     fn retire(&mut self, class: CostClass) {
         self.0.push(Event::Retire(class));
+    }
+    fn retire_block(&mut self, cost: &BlockCost) {
+        self.0.push(Event::Block(cost.clone()));
     }
     fn mem_access(&mut self, addr: u64, width: u64, is_write: bool) {
         self.0.push(Event::Mem(addr, width, is_write));
@@ -64,8 +70,10 @@ fn run(nf: &NfSpec, packets: &[Packet], as_dyn: bool) -> (Vec<ExecResult>, Vec<E
         .iter()
         .map(|pkt| {
             if as_dyn {
-                let sink: &mut dyn ExecSink = &mut rec;
-                interp.run_packet(&mut mem, pkt, sink)
+                // Borrowed again: the sink the interpreter sees is the
+                // blanket `&mut S` impl, forwarding to the trait object.
+                let mut sink: &mut dyn ExecSink = &mut rec;
+                interp.run_packet(&mut mem, pkt, &mut sink)
             } else {
                 interp.run_packet(&mut mem, pkt, &mut rec)
             }
@@ -104,12 +112,26 @@ fn dyn_and_monomorphised_sinks_see_the_same_execution() {
                 );
             }
         }
+        // Blocks charge every IR step; only native helpers retire one
+        // instruction at a time.
         let steps: u64 = res_dyn.iter().map(|r| r.steps).sum();
-        let retired = events_dyn
-            .iter()
-            .filter(|e| matches!(e, Event::Retire(_)))
-            .count() as u64;
-        assert!(retired >= steps, "{}: every step retires", nf.name());
+        let mut charged = 0;
+        let mut native_depth = 0;
+        for ev in &events_dyn {
+            match ev {
+                Event::Block(cost) => {
+                    assert_eq!(native_depth, 0, "{}: block inside a helper", nf.name());
+                    charged += cost.instructions();
+                }
+                Event::Retire(_) => {
+                    assert!(native_depth > 0, "{}: IR retire outside a block", nf.name())
+                }
+                Event::NativeEnter => native_depth += 1,
+                Event::NativeExit => native_depth -= 1,
+                Event::Mem(..) => {}
+            }
+        }
+        assert_eq!(charged, steps, "{}: every step is charged once", nf.name());
         if matches!(nf.kind, NfKind::Nat | NfKind::Lb) {
             assert!(stored > 0, "{}: stateful NFs store", nf.name());
         }

@@ -342,6 +342,36 @@ impl PacketBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Any bytes parse to a packet or a typed error, never a panic;
+        /// `shape` steers some inputs past the Ethernet and IPv4 checks so
+        /// the L4 parsers see arbitrary bytes too.
+        #[test]
+        fn parse_never_panics(
+            shape in 0u8..4,
+            proto in any::<bool>(),
+            bytes in proptest::collection::vec(any::<u8>(), 0..80),
+        ) {
+            let mut bytes = bytes;
+            if shape > 0 && bytes.len() >= 14 {
+                bytes[12..14].copy_from_slice(&0x0800u16.to_be_bytes());
+            }
+            if shape > 1 && bytes.len() >= 15 {
+                bytes[14] = 0x45;
+            }
+            if shape > 2 && bytes.len() >= 24 {
+                bytes[23] = if proto { 6 } else { 17 };
+            }
+            match Packet::parse(&bytes) {
+                Ok(p) => prop_assert_eq!(usize::from(p.frame_len), bytes.len()),
+                Err(e) => prop_assert!(!e.to_string().is_empty()),
+            }
+        }
+    }
 
     #[test]
     fn builder_defaults_are_valid_udp() {

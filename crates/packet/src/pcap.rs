@@ -148,6 +148,56 @@ mod tests {
     use super::*;
     use crate::ip::Ipv4Addr;
     use crate::packet::PacketBuilder;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Whatever frames are written come back, byte for byte, in order.
+        #[test]
+        fn written_frames_read_back(
+            frames in proptest::collection::vec(
+                proptest::collection::vec(any::<u8>(), 0..96),
+                0..12,
+            ),
+        ) {
+            let bytes = write_pcap_bytes(frames.iter().map(Vec::as_slice));
+            let records = read_pcap_bytes(&bytes).unwrap();
+            let back: Vec<Vec<u8>> = records.into_iter().map(|r| r.data).collect();
+            prop_assert_eq!(back, frames);
+        }
+
+        /// Arbitrary bytes — raw, or a valid stream with bytes overwritten
+        /// and its tail cut — yield records or a typed error, never a panic.
+        #[test]
+        fn read_never_panics(
+            valid_prefix in any::<bool>(),
+            frames in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..40), 0..4),
+            edits in proptest::collection::vec((any::<u16>(), any::<u8>()), 0..6),
+            cut in any::<u16>(),
+            raw in proptest::collection::vec(any::<u8>(), 0..120),
+        ) {
+            let mut bytes = if valid_prefix {
+                write_pcap_bytes(frames.iter().map(Vec::as_slice))
+            } else {
+                raw
+            };
+            if !bytes.is_empty() {
+                for &(at, value) in &edits {
+                    let at = usize::from(at) % bytes.len();
+                    bytes[at] = value;
+                }
+                bytes.truncate(bytes.len() - usize::from(cut) % bytes.len());
+            }
+            match read_pcap_bytes(&bytes) {
+                Ok(records) => {
+                    let payload: usize = records.iter().map(|r| 16 + r.data.len()).sum();
+                    prop_assert_eq!(24 + payload, bytes.len());
+                }
+                Err(e) => prop_assert!(!e.to_string().is_empty()),
+            }
+        }
+    }
 
     fn sample_packets(n: usize) -> Vec<Packet> {
         (0..n)

@@ -3,7 +3,7 @@
 //! simulated cache hierarchy, accumulating the per-packet counters the
 //! evaluation reports (reference cycles, instructions retired, L3 misses).
 
-use castan_ir::{CostClass, ExecSink};
+use castan_ir::{BlockCost, CostClass, ExecSink};
 use castan_mem::{AccessKind, MultiCoreHierarchy};
 
 /// Per-packet performance counters (what libPAPI reads out in §5.1).
@@ -121,6 +121,11 @@ impl ExecSink for CoreSink<'_> {
     fn retire(&mut self, class: CostClass) {
         self.cpu.current.instructions += 1;
         self.cpu.current.cycles += class.base_cycles();
+    }
+
+    fn retire_block(&mut self, cost: &BlockCost) {
+        self.cpu.current.instructions += cost.instructions();
+        self.cpu.current.cycles += cost.base_cycles();
     }
 
     fn mem_access(&mut self, addr: u64, _width: u64, is_write: bool) {
