@@ -42,15 +42,37 @@
 //! `aggregate Mpps = measured packets / busy time of the bottleneck node`,
 //! where a node's busy time is its bottleneck core's busy cycles plus the
 //! node-level migration/rebuild cycles it was charged.
+//!
+//! **Host execution.** The host replays the nodes concurrently too. Each
+//! node is one job: its own [`ShardedDut`], the sub-trace routed to it and
+//! its measurement config. Jobs share nothing, so every schedule computes
+//! the same per-node results, and the results land in a `Vec` indexed by
+//! node id — the only thing the rest of the run reads. The pool has
+//! `std::thread::available_parallelism()` workers, capped at the number of
+//! nodes with packets, and the calling thread is one of them: a one-core
+//! host or a one-node cluster spawns no thread. Jobs are dealt up front,
+//! longest sub-trace first, each to the worker with the fewest packets dealt
+//! so far (LPT, longest processing time first), so the pool needs no lock
+//! and no atomic. Workers stop at the host's cores rather than one per
+//! node because every replay in flight holds its node's per-core NF state:
+//! on a 2-core host, one thread per node measured +10–17 % peak RSS on the
+//! benchmark's 4-node fleet, one per core +2–4 %. A node that panics
+//! re-raises its own payload on the calling thread, so the message (say, a
+//! frame pool's exhaustion and its size) survives the thread boundary.
+
+use std::cmp::Reverse;
+use std::panic;
+use std::thread;
 
 use castan_chain::NfChain;
 use castan_packet::Packet;
 use castan_runtime::{
-    rebalanced_table, record_rebalance, LoadMetric, LoadTracker, RebalancePolicy,
+    rebalanced_table, record_rebalance, LoadMetric, LoadTracker, RebalancePolicy, RssDispatcher,
 };
 use castan_telemetry::{EventKind, Registry};
 use castan_testbed::{
-    MeasurementConfig, ShardConfig, ShardedDut, ShardedMeasurement, TelemetryConfig,
+    CoreMeasurement, MeasurementConfig, PacketCounters, ShardConfig, ShardedDut,
+    ShardedMeasurement, TelemetryConfig,
 };
 use castan_workload::Workload;
 
@@ -412,7 +434,23 @@ impl ClusterDut {
     /// `cfg.seed ^ n·φ` (node 0 keeps the base seed) and a warm-up count
     /// equal to the cluster warm-up packets it was routed, so the cluster
     /// measurement window is exactly the per-node windows glued together.
+    /// A node routed no packets reports idle cores under its boot table.
+    /// The nodes replay concurrently on a pool of at most one worker per
+    /// host core (see the module doc's *Host execution*); the measurement
+    /// is the same at every worker count.
     pub fn run(&mut self, workload: &Workload, cfg: &MeasurementConfig) -> ClusterMeasurement {
+        let cores = thread::available_parallelism().map_or(1, |n| n.get());
+        self.run_on(workload, cfg, cores)
+    }
+
+    /// [`ClusterDut::run`] with the execution phase on at most `workers`
+    /// workers.
+    fn run_on(
+        &mut self,
+        workload: &Workload,
+        cfg: &MeasurementConfig,
+        workers: usize,
+    ) -> ClusterMeasurement {
         assert!(!workload.is_empty(), "cannot replay an empty workload");
         let n_nodes = self.cluster.n_nodes;
         let mut map = self.cluster.boot_map();
@@ -548,17 +586,17 @@ impl ClusterDut {
             sub[node as usize].push(pkt);
         }
 
-        let mut per_node = Vec::with_capacity(n_nodes);
-        for (n, dut) in self.nodes.iter_mut().enumerate() {
-            let packets = core::mem::take(&mut sub[n]);
+        let shard = self.cluster.shard;
+        let jobs = self
+            .nodes
+            .iter_mut()
+            .zip(sub)
+            .enumerate()
+            .map(|(n, (dut, packets))| (packets.len(), (n, dut, packets)))
+            .collect();
+        let per_node = run_pooled(jobs, workers, |(n, dut, packets)| {
             if packets.is_empty() {
-                per_node.push(ShardedMeasurement {
-                    per_core: vec![Default::default(); self.cluster.shard.n_cores],
-                    batch_size: self.cluster.shard.batch_size,
-                    clock_hz: dut.clock_hz(),
-                    table_history: vec![dut.dispatcher().table().to_vec()],
-                });
-                continue;
+                return idle_measurement(dut, &shard);
             }
             let node_workload = Workload {
                 kind: workload.kind,
@@ -570,8 +608,8 @@ impl ClusterDut {
                 seed: cfg.seed ^ (n as u64).wrapping_mul(GOLDEN),
                 boot_seed: cfg.boot_seed ^ (n as u64).wrapping_mul(GOLDEN),
             };
-            per_node.push(dut.run(&node_workload, &node_cfg));
-        }
+            dut.run(&node_workload, &node_cfg)
+        });
 
         if let Some(reg) = registry.as_mut() {
             // Per-node run summaries land in the final epoch together with
@@ -609,6 +647,68 @@ impl ClusterDut {
             bucket_history,
         }
     }
+}
+
+/// What a node routed no packets measured, built the way
+/// [`ShardedDut::run`] builds a measurement: idle cores with one zero per
+/// chain stage, under the boot table — not whatever table an earlier run's
+/// rebalancing left in the dispatcher. Cluster nodes never install a boot
+/// table override, so the boot table is the round-robin fill.
+fn idle_measurement(dut: &ShardedDut, shard: &ShardConfig) -> ShardedMeasurement {
+    let idle_core = CoreMeasurement {
+        stage_totals: vec![PacketCounters::default(); dut.chain().len()],
+        ..CoreMeasurement::default()
+    };
+    ShardedMeasurement {
+        per_core: vec![idle_core; shard.n_cores],
+        batch_size: shard.batch_size,
+        clock_hz: dut.clock_hz(),
+        table_history: vec![RssDispatcher::new(shard.rss).table().to_vec()],
+    }
+}
+
+/// Runs `(weight, job)` pairs on at most `workers` workers and returns the
+/// results in job order. The calling thread is worker 0; only jobs of
+/// non-zero weight earn a worker of their own, so one such job (or one
+/// worker) runs everything inline and spawns nothing. Jobs are dealt up
+/// front, heaviest first, each to the worker with the least weight dealt so
+/// far (ties to the lower index). A job's panic reaches the caller with its
+/// own payload.
+fn run_pooled<J: Send, R: Send>(
+    jobs: Vec<(usize, J)>,
+    workers: usize,
+    run: impl Fn(J) -> R + Sync,
+) -> Vec<R> {
+    let weighted = jobs.iter().filter(|(w, _)| *w > 0).count();
+    let workers = workers.min(weighted).max(1);
+    let mut order: Vec<_> = jobs.into_iter().enumerate().collect();
+    order.sort_by_key(|&(i, (w, _))| (Reverse(w), i));
+    let mut dealt = vec![0; workers];
+    let mut shares: Vec<Vec<(usize, J)>> = (0..workers).map(|_| Vec::new()).collect();
+    for (i, (w, job)) in order {
+        let worker = (0..workers)
+            .min_by_key(|&k| (dealt[k], k))
+            .expect("at least one worker");
+        dealt[worker] += w;
+        shares[worker].push((i, job));
+    }
+
+    let work = |share: Vec<(usize, J)>| -> Vec<(usize, R)> {
+        share.into_iter().map(|(i, job)| (i, run(job))).collect()
+    };
+    let mut shares = shares.into_iter();
+    let own = shares.next().expect("at least one worker");
+    let mut done = thread::scope(|s| {
+        let spawned: Vec<_> = shares.map(|share| s.spawn(move || work(share))).collect();
+        let mut done = work(own);
+        for handle in spawned {
+            done.extend(handle.join().unwrap_or_else(|p| panic::resume_unwind(p)));
+        }
+        done
+    });
+    // Each job index occurs exactly once: sorting places results by job.
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Seals one front-tier telemetry epoch: per-node delivery counters
@@ -736,4 +836,132 @@ pub fn measure_cluster(
     cfg: &MeasurementConfig,
 ) -> ClusterMeasurement {
     ClusterDut::new(chain, cluster, cfg).run(workload, cfg)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::skew::cluster_skew_workload;
+    use castan_chain::{chain_by_id, ChainId};
+    use castan_testbed::MitigationConfig;
+    use castan_workload::{generic_chain_workload, WorkloadConfig, WorkloadKind};
+
+    /// Everything a run leaves behind, as text: the measurement (every
+    /// field of every node's `ShardedMeasurement`; its `f64` samples are
+    /// bit-identical or the run is not), the front tier's registry and
+    /// each node's.
+    fn fingerprint(dut: &ClusterDut, m: &ClusterMeasurement) -> Vec<String> {
+        let mut out = vec![format!("{m:?}")];
+        out.push(dut.telemetry().expect("front registry").snapshot_json());
+        for node in dut.nodes() {
+            out.push(node.telemetry().expect("node registry").snapshot_json());
+        }
+        out
+    }
+
+    #[test]
+    fn pooled_execution_is_identical_at_every_worker_count() {
+        // The benchmark fleet's shape at 4 nodes x 2 cores: rebalancing
+        // with migration cost at both levels, a failure drained halfway,
+        // telemetry at both levels, and a composed skew that makes the
+        // sub-traces uneven.
+        let chain = chain_by_id(ChainId::NatLpm);
+        let cfg = MeasurementConfig {
+            total_packets: 800,
+            warmup_packets: 64,
+            seed: 7,
+            boot_seed: 1,
+        };
+        let epoch = cfg.total_packets / 8;
+        let shard = ShardConfig::new(2).with_mitigation(
+            MitigationConfig::rebalance(epoch, RebalancePolicy::LeastLoaded).with_migration_cost(),
+        );
+        let cluster = ClusterConfig::new(4, shard)
+            .with_controller(
+                ControllerConfig::rebalance(epoch, RebalancePolicy::LeastLoaded)
+                    .with_migration_cost(),
+            )
+            .with_drain_on_fail()
+            .with_failure(1, cfg.total_packets / 2);
+        let base = generic_chain_workload(
+            &chain,
+            WorkloadKind::UniRand,
+            &WorkloadConfig {
+                scale: 0.002,
+                seed: 3,
+            },
+        );
+        let trace = cluster_skew_workload(
+            &base,
+            &cluster.boot_map(),
+            &RssDispatcher::new(shard.rss),
+            1,
+            0,
+        );
+        let run = |workers: usize| {
+            let mut dut = ClusterDut::new(&chain, cluster, &cfg);
+            dut.attach_telemetry(TelemetryConfig::new(epoch));
+            dut.attach_node_telemetry(TelemetryConfig::new(epoch));
+            let m = dut.run_on(&trace, &cfg, workers);
+            (fingerprint(&dut, &m), m)
+        };
+
+        let (serial, m) = run(1);
+        // The pin needs the deal to differ from node order: sub-traces of
+        // pairwise distinct lengths whose longest is not node 0's.
+        let mut lpt: Vec<usize> = (0..m.n_nodes()).collect();
+        lpt.sort_by_key(|&n| (Reverse(m.assigned[n]), n));
+        assert_ne!(lpt, [0, 1, 2, 3], "assigned {:?}", m.assigned);
+        let mut lengths = m.assigned.clone();
+        lengths.sort_unstable();
+        lengths.dedup();
+        assert_eq!(lengths.len(), 4, "assigned {:?}", m.assigned);
+        // Every node's result sits at its own index: its cores dispatched
+        // exactly what the front tier routed to it.
+        for (n, node) in m.per_node.iter().enumerate() {
+            let dispatched: usize = node.per_core.iter().map(|c| c.dispatched).sum();
+            assert_eq!(dispatched, m.assigned[n], "node {n}");
+        }
+        for workers in 2..=5 {
+            assert!(run(workers).0 == serial, "{workers} workers diverged");
+        }
+    }
+
+    #[test]
+    fn jobs_come_back_in_job_order_and_the_caller_works_too() {
+        let caller = thread::current().id();
+        for workers in 1..=5 {
+            let jobs = vec![(1, 0), (5, 1), (3, 2), (0, 3)];
+            let got = run_pooled(jobs, workers, |j| (j, thread::current().id()));
+            let order: Vec<usize> = got.iter().map(|&(j, _)| j).collect();
+            assert_eq!(order, [0, 1, 2, 3], "{workers} workers");
+            // The heaviest job is dealt first, to the calling thread; one
+            // worker spawns nothing.
+            assert_eq!(got[1].1, caller, "{workers} workers");
+            if workers == 1 {
+                assert!(got.iter().all(|&(_, t)| t == caller));
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_job_reaches_the_caller_with_its_message() {
+        for bad in 0..3 {
+            for workers in 1..=3 {
+                let jobs = vec![(3, 0), (2, 1), (1, 2)];
+                let caught = panic::catch_unwind(|| {
+                    run_pooled(jobs, workers, |j| {
+                        assert!(j != bad, "frame pool exhausted: {} frames", 64 + j);
+                        j
+                    })
+                });
+                let payload = caught.expect_err("a job panicked");
+                assert_eq!(
+                    payload.downcast_ref::<String>().map(String::as_str),
+                    Some(format!("frame pool exhausted: {} frames", 64 + bad).as_str()),
+                    "job {bad} on {workers} workers"
+                );
+            }
+        }
+    }
 }

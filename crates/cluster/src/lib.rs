@@ -290,6 +290,45 @@ mod tests {
     }
 
     #[test]
+    fn an_idle_node_reports_its_boot_table_not_the_last_rewrite() {
+        use castan_testbed::MitigationConfig;
+
+        // Run 1 skews everything onto node 2's core 0, so node-level
+        // rebalancing rewrites node 2's table; run 2 steers everything onto
+        // node 0 and leaves node 2 idle. Its report must be what an empty
+        // `ShardedDut::run` would give: the boot table, and one zero per
+        // chain stage on every core.
+        let chain = chain_by_id(ChainId::NatLpm);
+        let cfg = tiny_cfg();
+        let shard = ShardConfig::new(2).with_mitigation(MitigationConfig::rebalance(
+            cfg.total_packets / 4,
+            RebalancePolicy::LeastLoaded,
+        ));
+        let cluster = ClusterConfig::new(3, shard);
+        let map = cluster.boot_map();
+        let base = uniform_workload(200);
+        let mut dut = ClusterDut::new(&chain, cluster, &cfg);
+        let boot = RssDispatcher::new(shard.rss).table().to_vec();
+
+        let pinned = cluster_skew_workload(&base, &map, &RssDispatcher::new(shard.rss), 2, 0);
+        let first = dut.run(&pinned, &cfg);
+        assert!(
+            first.per_node[2].table_history.len() > 1
+                && first.per_node[2].table_history.last() != Some(&boot),
+            "node 2's table was rewritten"
+        );
+
+        let elsewhere = ecmp_skew_workload(&base, &map, 0);
+        let second = dut.run(&elsewhere, &cfg);
+        assert_eq!(second.assigned[2], 0, "node 2 is idle");
+        let idle = &second.per_node[2];
+        assert_eq!(idle.table_history, [boot]);
+        for core in &idle.per_core {
+            assert_eq!(core.stage_totals.len(), chain.len());
+        }
+    }
+
+    #[test]
     fn composed_skew_serialises_the_fleet_behind_one_core() {
         let chain = chain_by_id(ChainId::Nop3);
         let cfg = tiny_cfg();

@@ -8,7 +8,12 @@
 //!   iteration order per process) anywhere the order can reach a result;
 //! * explicit `RandomState` use;
 //! * reading wall clocks (`Instant`, `SystemTime`) in result-bearing code;
-//! * spawning threads outside the engine's one merge-barrier round system.
+//! * spawning threads outside the two sanctioned pools. The engine's
+//!   merge-barrier rounds (`castan-core`, exempt by path) are deterministic
+//!   because every round merges its workers' results in a fixed order
+//!   before the next begins. The fleet's execution phase (`castan-cluster`,
+//!   allowlisted) is deterministic because its jobs share nothing — each
+//!   owns one node and its sub-trace — and results are placed by node id.
 //!
 //! This lint greps the workspace sources for those patterns. Every match
 //! must either be removed or be justified by an entry in `LINT_ALLOW.txt`

@@ -625,3 +625,188 @@ proptest! {
         prop_assert_eq!(parent.constraints.len(), 0, "parent saw the assumption");
     }
 }
+
+/// The serial execution phase, spelled out with public parts only: routes
+/// the trace the way `ClusterDut::run` documents it (the tables of
+/// `bucket_history` in force between controller epochs and the drain, a
+/// failed node's packets dropped at the front tier) and replays each
+/// node's sub-trace alone on a fresh node booted as the cluster boots it.
+/// Returns each node's measurement as `Debug` text.
+fn node_by_node(
+    chain: &castan_suite::chain::NfChain,
+    cluster: &castan_suite::cluster::ClusterConfig,
+    wl: &castan_suite::workload::Workload,
+    cfg: &castan_suite::testbed::MeasurementConfig,
+    m: &castan_suite::cluster::ClusterMeasurement,
+) -> Vec<String> {
+    use castan_suite::runtime::RssDispatcher;
+    use castan_suite::testbed::{
+        CoreMeasurement, MeasurementConfig, PacketCounters, ShardedDut, ShardedMeasurement,
+    };
+    use castan_suite::workload::Workload;
+
+    const PHI: u64 = 0x9E37_79B9_7F4A_7C15;
+    let map = cluster.boot_map();
+    let mut table = 0;
+    let mut failed = None;
+    let mut sub = vec![Vec::new(); cluster.n_nodes];
+    for i in 0..cfg.total_packets {
+        if let Some(f) = cluster.failure {
+            if failed.is_none() && i >= f.at_packet {
+                failed = Some(f.node);
+                table += usize::from(cluster.drain_on_fail);
+            }
+        }
+        if let Some(c) = cluster.controller {
+            table += usize::from(i > 0 && i % c.epoch_packets == 0);
+        }
+        let pkt = wl.packets[i % wl.packets.len()];
+        let node = m.bucket_history[table][map.bucket_of_packet(&pkt).unwrap_or(0)];
+        if failed != Some(node) {
+            sub[node as usize].push(pkt);
+        }
+    }
+    sub.into_iter()
+        .enumerate()
+        .map(|(n, packets)| {
+            let mix = (n as u64).wrapping_mul(PHI);
+            let boot = MeasurementConfig {
+                boot_seed: cfg.boot_seed ^ mix,
+                ..*cfg
+            };
+            let mut dut = ShardedDut::new(chain.clone(), cluster.shard, &boot);
+            if packets.is_empty() {
+                let idle = CoreMeasurement {
+                    stage_totals: vec![PacketCounters::default(); chain.len()],
+                    ..CoreMeasurement::default()
+                };
+                return format!(
+                    "{:?}",
+                    ShardedMeasurement {
+                        per_core: vec![idle; cluster.shard.n_cores],
+                        batch_size: cluster.shard.batch_size,
+                        clock_hz: dut.clock_hz(),
+                        table_history: vec![RssDispatcher::new(cluster.shard.rss).table().to_vec()],
+                    }
+                );
+            }
+            let run = MeasurementConfig {
+                total_packets: packets.len(),
+                warmup_packets: m.warmup[n],
+                seed: cfg.seed ^ mix,
+                boot_seed: boot.boot_seed,
+            };
+            let trace = Workload {
+                kind: wl.kind,
+                packets,
+            };
+            format!("{:?}", dut.run(&trace, &run))
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A fleet run loses no packet and invents none, under any geometry,
+    /// controller, failure and node-level mitigation: every injected packet
+    /// is delivered or dropped at the front tier, each node's cores
+    /// dispatch exactly what it was delivered and measure exactly its
+    /// post-warm-up share, and the cross-node migration cycles are the
+    /// priced flow counts. The concurrent execution phase measures what a
+    /// serial node-by-node replay measures.
+    #[test]
+    fn fleet_runs_conserve_packets_and_replay_as_serial_nodes(
+        geometry in (1usize..=4, 1usize..=3, 0usize..3, any::<bool>(), any::<bool>()),
+        failure in (any::<bool>(), any::<u32>(), 0usize..600),
+        traffic in (any::<bool>(), 0usize..3, any::<u64>()),
+        stealing in any::<bool>(),
+    ) {
+        use castan_suite::chain::{chain_by_id, ChainId};
+        use castan_suite::cluster::{
+            cluster_skew_workload, ecmp_skew_workload, measure_cluster, ClusterConfig,
+            ControllerConfig, NODE_MIGRATION_CYCLES_PER_LINE, NODE_MIGRATION_LINES_PER_FLOW,
+            NODE_REBUILD_FACTOR,
+        };
+        use castan_suite::runtime::{RebalancePolicy, RssDispatcher};
+        use castan_suite::testbed::{MeasurementConfig, MitigationConfig, ShardConfig};
+        use castan_suite::workload::{generic_chain_workload, WorkloadConfig, WorkloadKind};
+
+        let (n_nodes, n_cores, policy, migration_cost, drain) = geometry;
+        let (fails, fail_node, fail_at) = failure;
+        let (nat, skew, seed) = traffic;
+        let chain = chain_by_id(if nat { ChainId::NatLpm } else { ChainId::Nop3 });
+        let cfg = MeasurementConfig {
+            total_packets: 600,
+            warmup_packets: 60,
+            seed,
+            ..MeasurementConfig::quick()
+        };
+        let epoch = 150;
+        let mut mitigation = MitigationConfig::rebalance(epoch, RebalancePolicy::LeastLoaded);
+        if stealing {
+            mitigation = mitigation.with_work_stealing();
+        }
+        let mut cluster =
+            ClusterConfig::new(n_nodes, ShardConfig::new(n_cores).with_mitigation(mitigation));
+        let policy = [None, Some(RebalancePolicy::LeastLoaded), Some(RebalancePolicy::PowerOfTwoChoices)]
+            [policy];
+        if let Some(policy) = policy {
+            let mut controller = ControllerConfig::rebalance(epoch, policy);
+            if migration_cost {
+                controller = controller.with_migration_cost();
+            }
+            cluster = cluster.with_controller(controller);
+        }
+        // Draining the only node would leave nothing to drain onto.
+        if drain && n_nodes > 1 {
+            cluster = cluster.with_drain_on_fail();
+        }
+        if fails {
+            cluster = cluster.with_failure(fail_node % n_nodes as u32, fail_at);
+        }
+        // Uniform traffic, or all of it steered onto one node (the other
+        // nodes idle and the controller has an imbalance to act on), or
+        // onto one core of one node.
+        let mut uniform = generic_chain_workload(
+            &chain,
+            WorkloadKind::UniRand,
+            &WorkloadConfig { scale: 0.002, seed },
+        );
+        uniform.packets.truncate(cfg.total_packets);
+        let target = (seed % n_nodes as u64) as u32;
+        let map = cluster.boot_map();
+        let wl = match skew {
+            0 => uniform,
+            1 => ecmp_skew_workload(&uniform, &map, target),
+            _ => cluster_skew_workload(
+                &uniform, &map, &RssDispatcher::new(cluster.shard.rss), target, 0,
+            ),
+        };
+        let m = measure_cluster(&chain, cluster, &wl, &cfg);
+
+        prop_assert_eq!(m.delivered() + m.front_dropped, cfg.total_packets);
+        for n in 0..n_nodes {
+            let node = &m.per_node[n];
+            let dispatched: usize = node.per_core.iter().map(|c| c.dispatched).sum();
+            prop_assert_eq!(dispatched, m.assigned[n], "node {} dispatch", n);
+            prop_assert_eq!(node.measured_packets(), m.assigned[n] - m.warmup[n], "node {} window", n);
+            let flows = m.migrated_to_node[n] as u64 + m.rebuilt_on_node[n] as u64 * NODE_REBUILD_FACTOR;
+            prop_assert_eq!(
+                m.node_migration_cycles[n],
+                flows * NODE_MIGRATION_LINES_PER_FLOW * NODE_MIGRATION_CYCLES_PER_LINE,
+                "node {} migration", n
+            );
+        }
+        if !migration_cost || policy.is_none() {
+            prop_assert_eq!(m.migrated_flows(), 0);
+        }
+        if !cluster.drain_on_fail || policy.is_none() {
+            prop_assert_eq!(m.rebuilt_flows(), 0);
+        }
+        let serial = node_by_node(&chain, &cluster, &wl, &cfg, &m);
+        for (n, expected) in serial.iter().enumerate() {
+            prop_assert_eq!(&format!("{:?}", m.per_node[n]), expected, "node {}", n);
+        }
+    }
+}
